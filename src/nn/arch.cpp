@@ -141,26 +141,39 @@ Mat ActorCriticNet::Tower::forward_batch(const std::vector<Mat>& rows) {
 }
 
 void ActorCriticNet::Tower::backward_batch(const Mat& dhead) {
-  Mat dh = dhead;
-  if (head) dh = head->backward_batch(dh);
-  for (auto it = merge.rbegin(); it != merge.rend(); ++it) {
-    dh = (*it)->backward_batch(dh);
+  Mat dh;
+  if (head) {
+    head->backward_batch(dhead, &dh);
+  } else {
+    dh = dhead;
   }
-  // Split the concat gradient back into branches (input grads discarded:
-  // upstream is the observation, not a trainable tensor).
+  for (auto it = merge.rbegin(); it != merge.rend(); ++it) {
+    Mat dnext;
+    (*it)->backward_batch(dh, &dnext);
+    dh = std::move(dnext);
+  }
+  // Split the concat gradient back into branches through one reused slice
+  // buffer. Branch input gradients are never computed: upstream is the
+  // observation, not a trainable tensor.
+  const std::size_t batch = dh.rows();
+  std::size_t widest = 0;
+  for (const auto& branch : branches) {
+    widest = std::max(widest, branch->out_dim());
+  }
+  Mat slice(batch, widest);
   for (std::size_t i = 0; i < branches.size(); ++i) {
     const std::size_t begin = branch_offsets_batch[i];
     const std::size_t end = i + 1 < branches.size()
                                 ? branch_offsets_batch[i + 1]
                                 : concat_cols_batch;
-    Mat slice(dh.rows(), end - begin);
-    for (std::size_t b = 0; b < dh.rows(); ++b) {
+    slice.reshape(batch, end - begin);
+    for (std::size_t b = 0; b < batch; ++b) {
       const auto src = dh.row(b);
       std::copy(src.begin() + static_cast<std::ptrdiff_t>(begin),
                 src.begin() + static_cast<std::ptrdiff_t>(end),
                 slice.row(b).begin());
     }
-    branches[i]->backward_batch(slice);
+    branches[i]->backward_batch(slice, nullptr);
   }
 }
 
@@ -477,8 +490,9 @@ void ActorCriticNet::backward_batch(const Mat& dlogits, const Vec& dvalues) {
     dvalue_col(b, 0) = dvalues[b];
   }
   if (shared_) {
-    Mat dtrunk = actor_head_->backward_batch(dlogits);
-    const Mat dtrunk_v = critic_head_->backward_batch(dvalue_col);
+    Mat dtrunk, dtrunk_v;
+    actor_head_->backward_batch(dlogits, &dtrunk);
+    critic_head_->backward_batch(dvalue_col, &dtrunk_v);
     for (std::size_t j = 0; j < dtrunk.size(); ++j) {
       dtrunk.data()[j] += dtrunk_v.data()[j];
     }

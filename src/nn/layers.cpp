@@ -106,7 +106,7 @@ Vec Dense::infer(const Vec& x) const {
   return z;
 }
 
-void Dense::sync_inference_cache() { wt_cache_ = w_.transposed(); }
+void Dense::sync_inference_cache() { w_.transpose_into(wt_cache_); }
 
 void Dense::begin_capture(std::size_t batch) {
   // Rows are fully overwritten by forward_capture, so the caches are only
@@ -162,15 +162,16 @@ Mat Dense::forward_batch(const Mat& x) {
   return yb_cache_;
 }
 
-Mat Dense::backward_batch(const Mat& dy) {
+void Dense::backward_batch(const Mat& dy, Mat* dx) {
   if (dy.rows() != zb_cache_.rows() || dy.cols() != w_.rows()) {
     throw std::invalid_argument("Dense::backward_batch: grad shape mismatch");
   }
-  Mat dz(dy.rows(), dy.cols());
+  // dz overwrites the z capture in place: each z is dead once its own
+  // activate_grad has read it, and the next batched forward refills it.
+  Mat& dz = zb_cache_;
   for (std::size_t j = 0; j < dz.size(); ++j) {
     dz.data()[j] =
-        dy.data()[j] * activate_grad(act_, zb_cache_.data()[j],
-                                     yb_cache_.data()[j]);
+        dy.data()[j] * activate_grad(act_, dz.data()[j], yb_cache_.data()[j]);
   }
   add_matmul_tn(dw_, dz, xb_cache_);
   for (std::size_t i = 0; i < dy.cols(); ++i) {
@@ -178,7 +179,7 @@ Mat Dense::backward_batch(const Mat& dy) {
     for (std::size_t n = 0; n < dy.rows(); ++n) acc += dz(n, i);
     db_(i, 0) = acc;
   }
-  return matmul(dz, w_);
+  if (dx != nullptr) *dx = matmul(dz, w_);
 }
 
 std::vector<ParamRef> Dense::params() {
@@ -233,7 +234,7 @@ void Conv1D::conv_one(const double* x, double* z) const {
   }
 }
 
-void Conv1D::sync_inference_cache() { wt_cache_ = w_.transposed(); }
+void Conv1D::sync_inference_cache() { w_.transpose_into(wt_cache_); }
 
 void Conv1D::begin_capture(std::size_t batch) {
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
@@ -328,30 +329,38 @@ Mat Conv1D::forward_batch(const Mat& x) {
   return yb_cache_;
 }
 
-Mat Conv1D::backward_batch(const Mat& dy) {
+void Conv1D::backward_batch(const Mat& dy, Mat* dx) {
   if (dy.rows() != zb_cache_.rows() || dy.cols() != out_len_ * filters_) {
     throw std::invalid_argument("Conv1D::backward_batch: grad shape mismatch");
   }
-  Mat dx(dy.rows(), seq_len_);
+  if (dx != nullptr) {
+    dx->reshape(dy.rows(), seq_len_);
+    dx->zero();
+  }
   for (std::size_t n = 0; n < dy.rows(); ++n) {
     const auto xr = xb_cache_.row(n);
     const auto dyr = dy.row(n);
     const auto zr = zb_cache_.row(n);
     const auto yr = yb_cache_.row(n);
-    const auto dxr = dx.row(n);
+    double* dxr = dx != nullptr ? dx->row(n).data() : nullptr;
     for (std::size_t t = 0; t < out_len_; ++t) {
       for (std::size_t f = 0; f < filters_; ++f) {
         const std::size_t idx = t * filters_ + f;
         const double dz = dyr[idx] * activate_grad(act_, zr[idx], yr[idx]);
         db_(f, 0) += dz;
+        // dw and dx accumulate into disjoint elements, so each keeps its
+        // own k-ascending chain whether or not dx is computed.
         for (std::size_t k = 0; k < kernel_; ++k) {
           dw_(f, k) += dz * xr[t + k];
-          dxr[t + k] += dz * w_(f, k);
+        }
+        if (dxr != nullptr) {
+          for (std::size_t k = 0; k < kernel_; ++k) {
+            dxr[t + k] += dz * w_(f, k);
+          }
         }
       }
     }
   }
-  return dx;
 }
 
 std::vector<ParamRef> Conv1D::params() {
@@ -475,14 +484,17 @@ Vec SimpleRnn::forward_capture(const Vec& x, std::size_t row) {
   return h_cache.back();
 }
 
-Mat SimpleRnn::backward_batch(const Mat& dy) {
+void SimpleRnn::backward_batch(const Mat& dy, Mat* dx) {
   if (dy.rows() != xb_cache_.rows() || dy.cols() != hidden_) {
     throw std::invalid_argument("SimpleRnn::backward_batch: grad mismatch");
   }
-  Mat dx(dy.rows(), seq_len_);
+  if (dx != nullptr) {
+    dx->reshape(dy.rows(), seq_len_);
+    dx->zero();
+  }
   for (std::size_t n = 0; n < dy.rows(); ++n) {
     const auto xr = xb_cache_.row(n);
-    const auto dxr = dx.row(n);
+    double* dxr = dx != nullptr ? dx->row(n).data() : nullptr;
     const auto& h_cache = hb_cache_[n];
     Vec dh(dy.row(n).begin(), dy.row(n).end());
     for (std::size_t t = seq_len_; t-- > 0;) {
@@ -494,13 +506,14 @@ Mat SimpleRnn::backward_batch(const Mat& dy) {
       for (std::size_t i = 0; i < hidden_; ++i) {
         dwx_(i, 0) += dz[i] * xr[t];
         db_(i, 0) += dz[i];
-        dxr[t] += dz[i] * wx_(i, 0);
+      }
+      if (dxr != nullptr) {
+        for (std::size_t i = 0; i < hidden_; ++i) dxr[t] += dz[i] * wx_(i, 0);
       }
       dwh_.add_outer(dz, h_cache[t]);
       dh = wh_.matvec_transposed(dz);
     }
   }
-  return dx;
 }
 
 std::vector<ParamRef> SimpleRnn::params() {
@@ -596,7 +609,7 @@ void Lstm::backward_one(std::span<const double> x,
     dw_.add_outer(dz, input);
     for (std::size_t i = 0; i < 4 * hidden_; ++i) db_(i, 0) += dz[i];
     const Vec dinput = w_.matvec_transposed(dz);
-    dx[t] += dinput[0];
+    if (!dx.empty()) dx[t] += dinput[0];
     dh.assign(dinput.begin() + 1, dinput.end());
   }
 }
@@ -647,16 +660,19 @@ Vec Lstm::forward_capture(const Vec& x, std::size_t row) {
   return forward_one(x, steps_batch_[row]);
 }
 
-Mat Lstm::backward_batch(const Mat& dy) {
+void Lstm::backward_batch(const Mat& dy, Mat* dx) {
   if (dy.rows() != xb_cache_.rows() || dy.cols() != hidden_) {
     throw std::invalid_argument("Lstm::backward_batch: grad shape mismatch");
   }
-  Mat dx(dy.rows(), seq_len_);
+  if (dx != nullptr) {
+    dx->reshape(dy.rows(), seq_len_);
+    dx->zero();
+  }
   for (std::size_t n = 0; n < dy.rows(); ++n) {
     const Vec dyn(dy.row(n).begin(), dy.row(n).end());
-    backward_one(xb_cache_.row(n), steps_batch_[n], dyn, dx.row(n));
+    backward_one(xb_cache_.row(n), steps_batch_[n], dyn,
+                 dx != nullptr ? dx->row(n) : std::span<double>());
   }
-  return dx;
 }
 
 std::vector<ParamRef> Lstm::params() {

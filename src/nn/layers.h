@@ -1,10 +1,23 @@
 // Neural network layers with explicit forward/backward passes.
 //
-// Each layer caches its most recent forward inputs; backward() consumes the
-// upstream gradient, accumulates parameter gradients (so multi-step A2C
-// batches sum naturally), and returns the gradient with respect to the
-// layer input. Networks are single-sample — ABR decisions are made one
-// state at a time and batches are accumulated across rollout steps.
+// Every layer has two training paths over the same math:
+//  - single-sample: forward() caches one sample's inputs, backward()
+//    consumes the upstream gradient, accumulates parameter gradients (so
+//    multi-step A2C batches sum naturally), and returns the input gradient;
+//  - batched: forward_batch(), or a begin_capture()/forward_capture()
+//    sequence that fills one cache row per rollout step, followed by one
+//    backward_batch() per update. Rows are samples, and parameter gradients
+//    accumulate in ascending sample order, bit-identical to the
+//    single-sample loop. The probe trainer (rl::BatchProbeTrainer) runs on
+//    this path.
+//
+// Capture-cache lifecycle: a batched forward (or a completed capture
+// sequence) fills the batch caches, and backward_batch() consumes them —
+// Dense overwrites its pre-activation z cache with dz in place — so each
+// backward_batch() needs a fresh batched forward or capture before it.
+// backward_batch() computes the input gradient only when given somewhere
+// to put it: the actor-critic tower's observation-facing branches pass
+// nullptr, since their upstream is the observation, not a trainable tensor.
 #pragma once
 
 #include <cstddef>
@@ -48,9 +61,12 @@ class Layer {
   /// Batched backward for the last forward_batch() (or a completed
   /// begin_capture()/forward_capture() sequence). Accumulates parameter
   /// gradients in ascending sample order — bit-identical to a loop of
-  /// single-sample forward/backward calls — and returns per-row input
-  /// gradients.
-  virtual Mat backward_batch(const Mat& dy) = 0;
+  /// single-sample forward/backward calls. When `dx` is non-null it
+  /// receives the per-row input gradients (reshaped to batch x in_dim; it
+  /// must not alias `dy`); when null, that work is skipped and the
+  /// parameter gradients are unchanged. Consumes the batch caches (see the
+  /// file comment): call it once per batched forward or capture sequence.
+  virtual void backward_batch(const Mat& dy, Mat* dx) = 0;
 
   /// Row-at-a-time batched forward, for callers that produce samples one
   /// step at a time (a policy rollout) but want the batch caches filled as
@@ -91,7 +107,7 @@ class Dense : public Layer {
   Vec forward(const Vec& x) override;
   Vec backward(const Vec& dy) override;
   Mat forward_batch(const Mat& x) override;
-  Mat backward_batch(const Mat& dy) override;
+  void backward_batch(const Mat& dy, Mat* dx) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
@@ -105,7 +121,8 @@ class Dense : public Layer {
   Mat b_, db_;
   Activation act_;
   Vec x_cache_, z_cache_, y_cache_;
-  Mat xb_cache_, zb_cache_, yb_cache_;
+  Mat xb_cache_, yb_cache_;
+  Mat zb_cache_;  ///< batch z; backward_batch overwrites it with dz
   Mat wt_cache_;  ///< w_^T; empty until sync_inference_cache()
 };
 
@@ -121,7 +138,7 @@ class Conv1D : public Layer {
   Vec forward(const Vec& x) override;
   Vec backward(const Vec& dy) override;
   Mat forward_batch(const Mat& x) override;
-  Mat backward_batch(const Mat& dy) override;
+  void backward_batch(const Mat& dy, Mat* dx) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
@@ -157,7 +174,7 @@ class SimpleRnn : public Layer {
   Vec forward(const Vec& x) override;
   Vec backward(const Vec& dy) override;
   Mat forward_batch(const Mat& x) override;
-  Mat backward_batch(const Mat& dy) override;
+  void backward_batch(const Mat& dy, Mat* dx) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
@@ -185,7 +202,7 @@ class Lstm : public Layer {
   Vec forward(const Vec& x) override;
   Vec backward(const Vec& dy) override;
   Mat forward_batch(const Mat& x) override;
-  Mat backward_batch(const Mat& dy) override;
+  void backward_batch(const Mat& dy, Mat* dx) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
@@ -202,7 +219,8 @@ class Lstm : public Layer {
   /// One sample's forward recurrence; appends per-step caches to `steps`.
   Vec forward_one(std::span<const double> x, std::vector<StepCache>& steps)
       const;
-  /// One sample's BPTT; accumulates dw_/db_ and writes the input gradient.
+  /// One sample's BPTT; accumulates dw_/db_ and adds the input gradient
+  /// into `dx` (skipped when `dx` is empty).
   void backward_one(std::span<const double> x,
                     const std::vector<StepCache>& steps, const Vec& dy,
                     std::span<double> dx);

@@ -15,16 +15,17 @@ Mat::Mat(std::size_t rows, std::size_t cols, double fill)
   }
 }
 
-double& Mat::operator()(std::size_t r, std::size_t c) {
-  return data_[r * cols_ + c];
-}
-
-double Mat::operator()(std::size_t r, std::size_t c) const {
-  return data_[r * cols_ + c];
-}
-
 void Mat::fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
+}
+
+void Mat::reshape(std::size_t rows, std::size_t cols) {
+  if (rows == 0 || cols == 0) {
+    throw std::invalid_argument("Mat::reshape: zero dimension");
+  }
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
 }
 
 void Mat::init_xavier(util::Rng& rng) {
@@ -84,13 +85,13 @@ void Mat::add_scaled(const Mat& other, double scale) {
   }
 }
 
-Mat Mat::transposed() const {
-  Mat t(cols_, rows_);
+void Mat::transpose_into(Mat& out) const {
+  if (&out == this) throw std::invalid_argument("transpose_into: aliased");
+  out.reshape(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
     const double* row = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = row[c];
+    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = row[c];
   }
-  return t;
 }
 
 double Mat::frobenius_norm() const {

@@ -37,8 +37,14 @@ class Mat {
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] bool empty() const { return data_.empty(); }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  // Inline: the layer loops index weights and gradients element by element,
+  // so an out-of-line call here costs more than the multiply-add it guards.
+  double& operator()(std::size_t r, std::size_t c) {
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    return data_[r * cols_ + c];
+  }
 
   [[nodiscard]] AlignedVec& data() { return data_; }
   [[nodiscard]] const AlignedVec& data() const { return data_; }
@@ -58,6 +64,12 @@ class Mat {
   void fill(double value);
   void zero() { fill(0.0); }
 
+  /// Changes the shape to rows x cols. The storage is reused whenever its
+  /// capacity suffices (shrinking never frees it), so a scratch matrix
+  /// reshaped per use allocates at most once. Element values afterwards are
+  /// unspecified: callers overwrite every element.
+  void reshape(std::size_t rows, std::size_t cols);
+
   /// Xavier/Glorot uniform init (for tanh/sigmoid layers).
   void init_xavier(util::Rng& rng);
   /// He (Kaiming) normal init (for ReLU-family layers).
@@ -75,10 +87,12 @@ class Mat {
 
   void add_scaled(const Mat& other, double scale);
 
-  /// Transposed copy (cols x rows). The batched Dense forward multiplies
-  /// against W^T so its inner loop runs over contiguous output columns —
-  /// the vectorizable formulation of the same k-ascending dot product.
-  [[nodiscard]] Mat transposed() const;
+  /// Writes the transpose (cols x rows) into `out`, reusing its storage
+  /// when it already has that shape. The layers' inference caches hold W^T
+  /// so their sweeps run over contiguous output columns — the vectorizable
+  /// formulation of the same k-ascending dot product — and re-sync it in
+  /// place after every optimizer step.
+  void transpose_into(Mat& out) const;
 
   [[nodiscard]] double frobenius_norm() const;
 

@@ -25,7 +25,7 @@ void Optimizer::clip_global_norm(const std::vector<ParamRef>& params,
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-void Adam::step(std::vector<ParamRef> params) {
+void Adam::step(const std::vector<ParamRef>& params) {
   if (m_.empty()) {
     m_.resize(params.size());
     v_.resize(params.size());
@@ -60,7 +60,7 @@ void Adam::step(std::vector<ParamRef> params) {
 RmsProp::RmsProp(double lr, double decay, double eps)
     : lr_(lr), decay_(decay), eps_(eps) {}
 
-void RmsProp::step(std::vector<ParamRef> params) {
+void RmsProp::step(const std::vector<ParamRef>& params) {
   if (cache_.empty()) {
     cache_.resize(params.size());
     for (std::size_t i = 0; i < params.size(); ++i) {

@@ -1,13 +1,24 @@
 #include "util/fs.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <stdexcept>
+#include <system_error>
 
 namespace nada::util {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
+
+}  // namespace
 
 bool file_exists(const std::string& path) {
   std::error_code ec;
@@ -15,15 +26,27 @@ bool file_exists(const std::string& path) {
 }
 
 std::optional<std::string> read_file_if_exists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (!file_exists(path)) return std::nullopt;
-    throw std::runtime_error("read_file: cannot open " + path);
+  // "Absent" is decided by the failed open itself (fopen sets errno). A
+  // separate existence check after a failed open races write_file_atomic:
+  // its rename can land in between and turn a missing file into an error.
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(path.c_str(), "rb"));
+  if (!file) {
+    const int err = errno;
+    if (err == ENOENT || err == ENOTDIR) return std::nullopt;
+    throw std::runtime_error("read_file: cannot open " + path + ": " +
+                             std::generic_category().message(err));
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw std::runtime_error("read_file: read failed for " + path);
-  return buffer.str();
+  std::string content;
+  char chunk[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof chunk, file.get())) > 0) {
+    content.append(chunk, n);
+  }
+  if (std::ferror(file.get()) != 0) {
+    throw std::runtime_error("read_file: read failed for " + path);
+  }
+  return content;
 }
 
 std::string read_file(const std::string& path) {

@@ -13,7 +13,9 @@ namespace nada::util {
 [[nodiscard]] bool file_exists(const std::string& path);
 
 /// Reads a whole file; std::nullopt when the file does not exist. Throws
-/// std::runtime_error on I/O errors for files that do exist.
+/// std::runtime_error on I/O errors for files that do exist. Existence is
+/// decided by the open itself, so a reader racing write_file_atomic and
+/// removal sees either std::nullopt or one whole version, never an error.
 [[nodiscard]] std::optional<std::string> read_file_if_exists(
     const std::string& path);
 

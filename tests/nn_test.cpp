@@ -3,6 +3,7 @@
 // finite differences of a scalar loss.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -415,17 +416,53 @@ TEST(Mat, BatchedKernelsDegenerateShapes) {
   EXPECT_EQ(acc(0, 0), acc_serial(0, 0));
 }
 
+TEST(Mat, TransposeIntoMatchesElementwiseAndReusesStorage) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_transpose = [&](const Mat& m, const Mat& t) {
+    ASSERT_EQ(t.rows(), m.cols());
+    ASSERT_EQ(t.cols(), m.rows());
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      for (std::size_t c = 0; c < m.cols(); ++c) {
+        EXPECT_EQ(bits(t(c, r)), bits(m(r, c))) << r << "," << c;
+      }
+    }
+  };
+  Mat t;
+  const Mat first = random_mat(3, 5, 71);
+  first.transpose_into(t);
+  expect_transpose(first, t);
+
+  // Same shape again (every optimizer step's re-sync): no reallocation.
+  const double* storage = t.ptr();
+  const Mat second = random_mat(3, 5, 72);
+  second.transpose_into(t);
+  EXPECT_EQ(t.ptr(), storage);
+  expect_transpose(second, t);
+
+  // A new shape reshapes the target.
+  const Mat wide = random_mat(2, 7, 73);
+  wide.transpose_into(t);
+  expect_transpose(wide, t);
+
+  Mat self = random_mat(2, 2, 74);
+  EXPECT_THROW(self.transpose_into(self), std::invalid_argument);
+}
+
 /// Two layers built from the same seed have identical weights; run B
 /// samples through one with single-sample calls and through the other with
 /// one batched call, and demand bitwise-equal outputs, parameter gradients,
-/// and input gradients.
+/// and input gradients. A third copy runs the batched backward with the
+/// input gradient skipped (as the tower's observation-facing branches do)
+/// and must produce the same parameter gradients bitwise.
 template <typename MakeLayer>
 void check_batched_matches_single(MakeLayer make, std::size_t in_dim,
                                   std::size_t batch) {
   util::Rng rng_single(2024);
   util::Rng rng_batch(2024);
+  util::Rng rng_skip(2024);
   auto single = make(rng_single);
   auto batched = make(rng_batch);
+  auto skipping = make(rng_skip);
 
   util::Rng data_rng(7);
   Mat x(batch, in_dim);
@@ -451,7 +488,14 @@ void check_batched_matches_single(MakeLayer make, std::size_t in_dim,
     (void)yn;
   }
   const Mat y_batch = batched->forward_batch(x);
-  const Mat dx_batch = batched->backward_batch(dy);
+  // Pre-filled with junk: backward_batch must overwrite, not accumulate.
+  Mat dx_batch(batch, in_dim, 123.0);
+  batched->backward_batch(dy, &dx_batch);
+
+  skipping->zero_grad();
+  const Mat y_skip = skipping->forward_batch(x);
+  skipping->backward_batch(dy, nullptr);
+  EXPECT_EQ(y_skip.data(), y_batch.data());
 
   // Outputs bitwise-identical to per-sample forward.
   for (std::size_t nidx = 0; nidx < batch; ++nidx) {
@@ -464,9 +508,13 @@ void check_batched_matches_single(MakeLayer make, std::size_t in_dim,
   EXPECT_EQ(dx_single.data(), dx_batch.data());
   auto ps = single->params();
   auto pb = batched->params();
+  auto pk = skipping->params();
   ASSERT_EQ(ps.size(), pb.size());
+  ASSERT_EQ(ps.size(), pk.size());
   for (std::size_t p = 0; p < ps.size(); ++p) {
     EXPECT_EQ(ps[p].grad->data(), pb[p].grad->data()) << "param " << p;
+    EXPECT_EQ(pb[p].grad->data(), pk[p].grad->data())
+        << "param " << p << " (input gradient skipped)";
   }
 }
 

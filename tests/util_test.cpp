@@ -597,5 +597,47 @@ TEST(Fs, MissingFilesAreReportedNotInvented) {
   EXPECT_THROW(read_file(path), std::runtime_error);
 }
 
+// A reader polling a file that another thread keeps atomically replacing
+// and removing (a supervisor reading worker heartbeats) must only ever see
+// "absent" or one whole version — never an exception from a file that
+// appeared between a failed open and a separate existence check.
+TEST(Fs, ReadRacingAtomicWriteAndRemoveNeverThrows) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "/nada_fs_test_race.txt";
+  std::remove(path.c_str());
+  const std::string content(256, 'h');
+  std::atomic<bool> stop{false};
+  std::atomic<bool> writer_failed{false};
+  std::thread writer([&] {
+    try {
+      while (!stop.load(std::memory_order_relaxed)) {
+        write_file_atomic(path, content);
+        std::remove(path.c_str());
+      }
+    } catch (const std::exception&) {
+      writer_failed = true;
+    }
+  });
+  std::size_t absent = 0, present = 0, errors = 0;
+  for (int i = 0; i < 50000; ++i) {
+    try {
+      const auto read = read_file_if_exists(path);
+      if (!read.has_value()) {
+        ++absent;
+      } else {
+        ++present;
+        EXPECT_EQ(*read, content);
+      }
+    } catch (const std::exception&) {
+      ++errors;
+    }
+  }
+  stop = true;
+  writer.join();
+  std::remove(path.c_str());
+  EXPECT_FALSE(writer_failed);
+  EXPECT_EQ(errors, 0u) << absent << " absent, " << present << " present";
+}
+
 }  // namespace
 }  // namespace nada::util
