@@ -30,8 +30,8 @@ filter::DesignRecord train_record(const trace::Dataset& dataset,
   rl::TrainConfig config;
   config.epochs = total_epochs;
   config.evaluate_checkpoints = false;  // ranking uses training rewards
-  rl::Trainer trainer(dataset, video, config, seed);
-  const rl::TrainResult result = trainer.train(program, arch);
+  const rl::Trainer trainer(dataset, video, config);
+  const rl::TrainResult result = trainer.train(program, arch, seed);
   filter::DesignRecord record;
   record.id = id;
   record.source_text = source;

@@ -60,8 +60,9 @@ void BM_NetForward(benchmark::State& state) {
       {0.3}, {0.9}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8},
       {0.2, 0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.2},
       {0.1, 0.2, 0.4, 0.7, 1.1, 1.7}, {0.5}};
+  net.sync_inference_cache();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward(rows));
+    benchmark::DoNotOptimize(net.forward_inference(rows));
   }
 }
 BENCHMARK(BM_NetForward)->Arg(32)->Arg(128);
@@ -78,10 +79,14 @@ void BM_NetForwardBackward(benchmark::State& state) {
       {0.3}, {0.9}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8},
       {0.2, 0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.2},
       {0.1, 0.2, 0.4, 0.7, 1.1, 1.7}, {0.5}};
-  const nn::Vec dlogits = {0.1, -0.2, 0.3, 0.0, -0.1, -0.1};
+  nn::Mat dlogits(1, 6);
+  const nn::Vec dlogit_row = {0.1, -0.2, 0.3, 0.0, -0.1, -0.1};
+  std::copy(dlogit_row.begin(), dlogit_row.end(), dlogits.row(0).begin());
+  net.sync_inference_cache();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward(rows));
-    net.backward(dlogits, 0.5);
+    net.begin_batch_capture(1);
+    benchmark::DoNotOptimize(net.forward_capture(rows, 0));
+    net.backward_batch(dlogits, {0.5});
   }
 }
 BENCHMARK(BM_NetForwardBackward)->Arg(32)->Arg(128);

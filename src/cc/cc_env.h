@@ -61,8 +61,8 @@ struct CcStepResult {
 /// Construction consumes no randomness: the RNG is only drawn when reset()
 /// starts an episode (start offset) and during steps (measurement jitter),
 /// so the caller's seed stream is a pure function of the episodes it
-/// actually runs — the property the batched/serial probe equivalence
-/// guarantee rests on. reset() must be called before step().
+/// actually runs — the property the trainer's block-size independence
+/// rests on. reset() must be called before step().
 class CcEnv {
  public:
   CcEnv(const trace::Trace& capacity, CcConfig config, util::Rng& rng);

@@ -62,8 +62,8 @@ struct StepResult {
 ///
 /// Construction consumes no randomness: the RNG is only drawn when reset()
 /// starts an episode, so the caller's seed stream is a pure function of the
-/// episodes it actually runs — the property the batched/serial probe
-/// equivalence guarantee rests on. reset() must be called before step().
+/// episodes it actually runs — the property the trainer's block-size
+/// independence rests on. reset() must be called before step().
 class AbrEnv {
  public:
   AbrEnv(const trace::Trace& trace, const video::Video& video,

@@ -1,16 +1,15 @@
 // TaskDomain: the environment abstraction the search funnel runs over.
 //
 // The funnel (generate -> pre-check -> batched probe -> early-stop -> full
-// train -> rank) is domain-agnostic: rl::Trainer, rl::BatchProbeTrainer,
-// and core::Pipeline only need episodes that step under a discrete action
-// space, observations expressed as DSL bindings, and a handful of scalar
-// hints. A TaskDomain packages those for one task — ABR streaming
+// train -> rank) is domain-agnostic: rl::Trainer and core::Pipeline only
+// need fixed-length episodes that step under a discrete action space,
+// observations expressed as DSL bindings, and a handful of scalar hints. A TaskDomain packages those for one task — ABR streaming
 // (env::AbrDomain) and congestion control (cc::CcDomain) today; a third
 // domain is one subclass plus a binding catalog and a generator state
 // space away.
 //
-// Determinism contract (the candidate store and the batched/serial probe
-// equivalence both rest on it):
+// Determinism contract (the candidate store and the trainer's block-size
+// independence both rest on it):
 //   * constructing an Episode draws from `rng` exactly what the domain's
 //     pre-abstraction code drew (ABR: one uniform trace choice for
 //     training episodes, nothing for eval episodes),
@@ -73,9 +72,11 @@ class TaskDomain {
   /// Discrete action count (ABR: ladder levels; CC: rate multipliers).
   [[nodiscard]] virtual std::size_t num_actions() const = 0;
 
-  /// Steps per episode. Both current domains run fixed-length episodes;
-  /// the batched probe trainer sizes its capture caches from this and
-  /// enforces it after each rollout.
+  /// Steps per training episode, exactly: every training episode must
+  /// finish after this many steps. rl::Trainer — the only trainer, behind
+  /// probes, the baseline, and full training alike — sizes its capture
+  /// caches from it and fails a job whose rollout ends at any other
+  /// length.
   [[nodiscard]] virtual std::size_t episode_length() const = 0;
 
   /// Resolves rl::TrainConfig::reward_scale == 0 ("auto"): a deterministic

@@ -13,8 +13,9 @@ namespace detail {
 void train_bce(const std::vector<Vec>& features,
                const std::vector<double>& labels,
                const ClassifierTrainOptions& options,
-               const std::function<double(const Vec&)>& forward,
-               const std::function<void(double)>& backward,
+               const std::function<void(std::size_t)>& begin,
+               const std::function<double(const Vec&, std::size_t)>& forward,
+               const std::function<void(const Mat&)>& backward,
                const std::function<std::vector<ParamRef>()>& params,
                util::Rng& rng) {
   if (features.size() != labels.size()) {
@@ -22,6 +23,9 @@ void train_bce(const std::vector<Vec>& features,
   }
   if (features.empty()) {
     throw std::invalid_argument("train_bce: empty training set");
+  }
+  if (options.batch_size == 0) {
+    throw std::invalid_argument("train_bce: zero batch size");
   }
   for (double y : labels) {
     if (y < 0.0 || y > 1.0) {
@@ -31,34 +35,35 @@ void train_bce(const std::vector<Vec>& features,
   Adam optimizer(options.learning_rate);
   std::vector<std::size_t> order(features.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Mat dlogits;
 
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     rng.shuffle(order);
-    std::size_t in_batch = 0;
-    for (std::size_t idx : order) {
-      const double logit = forward(features[idx]);
-      const double p = sigmoid(logit);
-      // d(BCE)/d(logit) = p - y, averaged over the batch at step time.
-      backward((p - labels[idx]) /
-               static_cast<double>(options.batch_size));
-      if (++in_batch == options.batch_size) {
-        auto ps = params();
-        if (options.l2 > 0.0) {
-          for (auto& pr : ps) {
-            const auto& w = pr.value->data();
-            auto& g = pr.grad->data();
-            for (std::size_t j = 0; j < w.size(); ++j) {
-              g[j] += options.l2 * w[j];
-            }
+    for (std::size_t first = 0; first < order.size();
+         first += options.batch_size) {
+      const std::size_t n =
+          std::min(options.batch_size, order.size() - first);
+      begin(n);
+      dlogits.reshape(n, 1);
+      for (std::size_t row = 0; row < n; ++row) {
+        const std::size_t idx = order[first + row];
+        const double p = sigmoid(forward(features[idx], row));
+        // d(BCE)/d(logit) = p - y, averaged over the nominal batch size.
+        dlogits(row, 0) = (p - labels[idx]) /
+                          static_cast<double>(options.batch_size);
+      }
+      backward(dlogits);
+      auto ps = params();
+      // The ragged last mini-batch of an epoch steps without weight decay.
+      if (options.l2 > 0.0 && n == options.batch_size) {
+        for (auto& pr : ps) {
+          const auto& w = pr.value->data();
+          auto& g = pr.grad->data();
+          for (std::size_t j = 0; j < w.size(); ++j) {
+            g[j] += options.l2 * w[j];
           }
         }
-        Optimizer::clip_global_norm(ps, 5.0);
-        optimizer.step(ps);
-        in_batch = 0;
       }
-    }
-    if (in_batch > 0) {
-      auto ps = params();
       Optimizer::clip_global_norm(ps, 5.0);
       optimizer.step(ps);
     }
@@ -84,33 +89,38 @@ Conv1DClassifier::Conv1DClassifier(std::size_t seq_len, std::size_t filters,
   }
 }
 
-double Conv1DClassifier::forward_logit(const Vec& x) {
+double Conv1DClassifier::forward_logit(const Vec& x, std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Conv1DClassifier: input size mismatch");
   }
-  conv_out_cache_ = conv_.forward(x);
+  const Vec conv_out = conv_.forward_capture(x, row);
   // Global average pool over time (conv output is time-major).
-  pooled_cache_.assign(filters_, 0.0);
+  Vec pooled(filters_, 0.0);
   for (std::size_t t = 0; t < out_len_; ++t) {
     for (std::size_t f = 0; f < filters_; ++f) {
-      pooled_cache_[f] += conv_out_cache_[t * filters_ + f];
+      pooled[f] += conv_out[t * filters_ + f];
     }
   }
-  for (double& v : pooled_cache_) v /= static_cast<double>(out_len_);
-  const Vec h = fc1_.forward(pooled_cache_);
-  return fc2_.forward(h)[0];
+  for (double& v : pooled) v /= static_cast<double>(out_len_);
+  const Vec h = fc1_.forward_capture(pooled, row);
+  return fc2_.forward_capture(h, row)[0];
 }
 
-void Conv1DClassifier::backward_logit(double dlogit) {
-  const Vec dh = fc2_.backward(Vec{dlogit});
-  const Vec dpool = fc1_.backward(dh);
-  Vec dconv(out_len_ * filters_, 0.0);
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      dconv[t * filters_ + f] = dpool[f] / static_cast<double>(out_len_);
+void Conv1DClassifier::backward_logits(const Mat& dlogits) {
+  Mat dh;
+  Mat dpool;
+  fc2_.backward_batch(dlogits, &dh);
+  fc1_.backward_batch(dh, &dpool);
+  Mat dconv(dlogits.rows(), out_len_ * filters_);
+  for (std::size_t n = 0; n < dconv.rows(); ++n) {
+    for (std::size_t t = 0; t < out_len_; ++t) {
+      for (std::size_t f = 0; f < filters_; ++f) {
+        dconv(n, t * filters_ + f) =
+            dpool(n, f) / static_cast<double>(out_len_);
+      }
     }
   }
-  conv_.backward(dconv);
+  conv_.backward_batch(dconv, nullptr);  // upstream is the input series
 }
 
 double Conv1DClassifier::predict(const Vec& features) const {
@@ -135,8 +145,13 @@ void Conv1DClassifier::train(const std::vector<Vec>& features,
                              const ClassifierTrainOptions& options) {
   detail::train_bce(
       features, labels, options,
-      [this](const Vec& x) { return forward_logit(x); },
-      [this](double d) { backward_logit(d); },
+      [this](std::size_t n) {
+        conv_.begin_capture(n);
+        fc1_.begin_capture(n);
+        fc2_.begin_capture(n);
+      },
+      [this](const Vec& x, std::size_t row) { return forward_logit(x, row); },
+      [this](const Mat& d) { backward_logits(d); },
       [this] {
         std::vector<ParamRef> ps;
         for (auto p : conv_.params()) ps.push_back(p);
@@ -161,19 +176,22 @@ MlpClassifier::MlpClassifier(std::size_t input_dim,
   layers_.push_back(std::make_unique<Dense>(in, 1, Activation::kLinear, rng));
 }
 
-double MlpClassifier::forward_logit(const Vec& x) {
+double MlpClassifier::forward_logit(const Vec& x, std::size_t row) {
   if (x.size() != input_dim_) {
     throw std::invalid_argument("MlpClassifier: input size mismatch");
   }
   Vec h = x;
-  for (auto& layer : layers_) h = layer->forward(h);
+  for (auto& layer : layers_) h = layer->forward_capture(h, row);
   return h[0];
 }
 
-void MlpClassifier::backward_logit(double dlogit) {
-  Vec d{dlogit};
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    d = (*it)->backward(d);
+void MlpClassifier::backward_logits(const Mat& dlogits) {
+  Mat d = dlogits;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    Mat dx;
+    // The first layer's input gradient would flow into the features.
+    layers_[i]->backward_batch(d, i > 0 ? &dx : nullptr);
+    d = std::move(dx);
   }
 }
 
@@ -191,8 +209,11 @@ void MlpClassifier::train(const std::vector<Vec>& features,
                           const ClassifierTrainOptions& options) {
   detail::train_bce(
       features, labels, options,
-      [this](const Vec& x) { return forward_logit(x); },
-      [this](double d) { backward_logit(d); },
+      [this](std::size_t n) {
+        for (auto& layer : layers_) layer->begin_capture(n);
+      },
+      [this](const Vec& x, std::size_t row) { return forward_logit(x, row); },
+      [this](const Mat& d) { backward_logits(d); },
       [this] {
         std::vector<ParamRef> ps;
         for (auto& layer : layers_) {

@@ -59,15 +59,13 @@ class Conv1DClassifier : public BinaryClassifier {
   [[nodiscard]] std::size_t input_dim() const override { return seq_len_; }
 
  private:
-  double forward_logit(const Vec& x);
-  void backward_logit(double dlogit);
+  double forward_logit(const Vec& x, std::size_t row);
+  void backward_logits(const Mat& dlogits);
 
   std::size_t seq_len_, filters_, out_len_;
   Conv1D conv_;
   Dense fc1_;
   Dense fc2_;
-  Vec conv_out_cache_;
-  Vec pooled_cache_;
   util::Rng rng_;
 };
 
@@ -84,23 +82,26 @@ class MlpClassifier : public BinaryClassifier {
   [[nodiscard]] std::size_t input_dim() const override { return input_dim_; }
 
  private:
-  double forward_logit(const Vec& x);
-  void backward_logit(double dlogit);
+  double forward_logit(const Vec& x, std::size_t row);
+  void backward_logits(const Mat& dlogits);
 
   std::size_t input_dim_;
   std::vector<std::unique_ptr<Dense>> layers_;
   util::Rng rng_;
 };
 
-/// Shared training loop: BCE loss, Adam, shuffled mini-batches.
-/// `forward` returns the pre-sigmoid logit for one sample and must cache
-/// what `backward` needs; `backward` consumes d(loss)/d(logit).
+/// Shared training loop: BCE loss, Adam, shuffled mini-batches. Each
+/// mini-batch of n samples runs on the layers' capture path: `begin(n)`,
+/// then `forward(x, row)` per sample (returns the pre-sigmoid logit and
+/// captures row `row`), then one `backward(dlogits)` with the n x 1
+/// d(loss)/d(logit) column.
 namespace detail {
 void train_bce(const std::vector<Vec>& features,
                const std::vector<double>& labels,
                const ClassifierTrainOptions& options,
-               const std::function<double(const Vec&)>& forward,
-               const std::function<void(double)>& backward,
+               const std::function<void(std::size_t)>& begin,
+               const std::function<double(const Vec&, std::size_t)>& forward,
+               const std::function<void(const Mat&)>& backward,
                const std::function<std::vector<ParamRef>()>& params,
                util::Rng& rng);
 }  // namespace detail

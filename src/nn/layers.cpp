@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -31,14 +32,14 @@ double activate(Activation a, double z) {
   return z;
 }
 
-double activate_grad(Activation a, double z, double y) {
+double activate_grad(Activation a, double y) {
   switch (a) {
     case Activation::kLinear: return 1.0;
-    case Activation::kRelu: return z > 0.0 ? 1.0 : 0.0;
-    case Activation::kLeakyRelu: return z > 0.0 ? 1.0 : 0.01;
+    case Activation::kRelu: return y > 0.0 ? 1.0 : 0.0;
+    case Activation::kLeakyRelu: return y > 0.0 ? 1.0 : 0.01;
     case Activation::kTanh: return 1.0 - y * y;
     case Activation::kSigmoid: return y * (1.0 - y);
-    case Activation::kElu: return z > 0.0 ? 1.0 : y + 1.0;
+    case Activation::kElu: return y > 0.0 ? 1.0 : y + 1.0;
   }
   return 1.0;
 }
@@ -56,33 +57,6 @@ Dense::Dense(std::size_t in, std::size_t out, Activation act, util::Rng& rng)
   } else {
     w_.init_he(rng);
   }
-}
-
-Vec Dense::forward(const Vec& x) {
-  if (x.size() != w_.cols()) {
-    throw std::invalid_argument("Dense::forward: input size mismatch");
-  }
-  x_cache_ = x;
-  z_cache_ = w_.matvec(x);
-  for (std::size_t i = 0; i < z_cache_.size(); ++i) z_cache_[i] += b_(i, 0);
-  y_cache_.resize(z_cache_.size());
-  for (std::size_t i = 0; i < z_cache_.size(); ++i) {
-    y_cache_[i] = activate(act_, z_cache_[i]);
-  }
-  return y_cache_;
-}
-
-Vec Dense::backward(const Vec& dy) {
-  if (dy.size() != w_.rows()) {
-    throw std::invalid_argument("Dense::backward: grad size mismatch");
-  }
-  Vec dz(dy.size());
-  for (std::size_t i = 0; i < dy.size(); ++i) {
-    dz[i] = dy[i] * activate_grad(act_, z_cache_[i], y_cache_[i]);
-  }
-  dw_.add_outer(dz, x_cache_);
-  for (std::size_t i = 0; i < dz.size(); ++i) db_(i, 0) += dz[i];
-  return w_.matvec_transposed(dz);
 }
 
 Vec Dense::infer(const Vec& x) const {
@@ -113,7 +87,6 @@ void Dense::begin_capture(std::size_t batch) {
   // reallocated when the episode length changes.
   if (xb_cache_.rows() != batch || xb_cache_.cols() != w_.cols()) {
     xb_cache_ = Mat(batch, w_.cols());
-    zb_cache_ = Mat(batch, w_.rows());
     yb_cache_ = Mat(batch, w_.rows());
   }
 }
@@ -124,54 +97,30 @@ Vec Dense::forward_capture(const Vec& x, std::size_t row) {
   }
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
   const std::size_t out = w_.rows();
-  const auto zr = zb_cache_.row(row);
+  const auto yr = yb_cache_.row(row);  // holds Wx until activated in place
   if (!wt_cache_.empty()) {
-    std::fill(zr.begin(), zr.end(), 0.0);
-    active_kernels().wt_axpy(wt_cache_.ptr(), x.data(), zr.data(), x.size(),
+    std::fill(yr.begin(), yr.end(), 0.0);
+    active_kernels().wt_axpy(wt_cache_.ptr(), x.data(), yr.data(), x.size(),
                              out);
   } else {
     const Vec z = w_.matvec(x);
-    std::copy(z.begin(), z.end(), zr.begin());
+    std::copy(z.begin(), z.end(), yr.begin());
   }
-  Vec y(out);
-  const auto yr = yb_cache_.row(row);
   for (std::size_t i = 0; i < out; ++i) {
-    zr[i] += b_(i, 0);
-    y[i] = activate(act_, zr[i]);
-    yr[i] = y[i];
+    yr[i] = activate(act_, yr[i] + b_(i, 0));
   }
-  return y;
-}
-
-Mat Dense::forward_batch(const Mat& x) {
-  if (x.cols() != w_.cols()) {
-    throw std::invalid_argument("Dense::forward_batch: input size mismatch");
-  }
-  xb_cache_ = x;
-  // Both kernels produce the same k-ascending accumulation per output
-  // element as matvec (bit-identical); the synced transpose enables the
-  // contiguous axpy form, the unsynced fallback is the register-tiled
-  // dot-product form with no transpose copy.
-  zb_cache_ = wt_cache_.empty() ? matmul_nt(x, w_) : matmul(x, wt_cache_);
-  const std::size_t out = w_.rows();
-  for (std::size_t n = 0; n < x.rows(); ++n) {
-    for (std::size_t i = 0; i < out; ++i) zb_cache_(n, i) += b_(i, 0);
-  }
-  yb_cache_ = zb_cache_;
-  for (double& v : yb_cache_.data()) v = activate(act_, v);
-  return yb_cache_;
+  return Vec(yr.begin(), yr.end());
 }
 
 void Dense::backward_batch(const Mat& dy, Mat* dx) {
-  if (dy.rows() != zb_cache_.rows() || dy.cols() != w_.rows()) {
+  if (dy.rows() != yb_cache_.rows() || dy.cols() != w_.rows()) {
     throw std::invalid_argument("Dense::backward_batch: grad shape mismatch");
   }
-  // dz overwrites the z capture in place: each z is dead once its own
-  // activate_grad has read it, and the next batched forward refills it.
-  Mat& dz = zb_cache_;
+  // dz overwrites the output capture in place: each y is dead once its own
+  // activate_grad has read it, and the next capture sequence refills it.
+  Mat& dz = yb_cache_;
   for (std::size_t j = 0; j < dz.size(); ++j) {
-    dz.data()[j] =
-        dy.data()[j] * activate_grad(act_, dz.data()[j], yb_cache_.data()[j]);
+    dz.data()[j] = dy.data()[j] * activate_grad(act_, dz.data()[j]);
   }
   add_matmul_tn(dw_, dz, xb_cache_);
   for (std::size_t i = 0; i < dy.cols(); ++i) {
@@ -239,7 +188,6 @@ void Conv1D::sync_inference_cache() { w_.transpose_into(wt_cache_); }
 void Conv1D::begin_capture(std::size_t batch) {
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
-    zb_cache_ = Mat(batch, out_len_ * filters_);
     yb_cache_ = Mat(batch, out_len_ * filters_);
   }
 }
@@ -249,60 +197,10 @@ Vec Conv1D::forward_capture(const Vec& x, std::size_t row) {
     throw std::invalid_argument("Conv1D::forward_capture: input mismatch");
   }
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
-  const auto zr = zb_cache_.row(row);
-  conv_one(x.data(), zr.data());
-  Vec y(out_len_ * filters_);
   const auto yr = yb_cache_.row(row);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    y[i] = activate(act_, zr[i]);
-    yr[i] = y[i];
-  }
-  return y;
-}
-
-Vec Conv1D::forward(const Vec& x) {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("Conv1D::forward: input size mismatch");
-  }
-  x_cache_ = x;
-  z_cache_.assign(out_len_ * filters_, 0.0);
-  // Training forward always reads the live weights directly — never the
-  // synced transpose — so plain forward/backward training loops stay
-  // correct on a layer whose inference cache has gone stale.
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      double acc = b_(f, 0);
-      for (std::size_t k = 0; k < kernel_; ++k) {
-        acc += w_(f, k) * x[t + k];
-      }
-      z_cache_[t * filters_ + f] = acc;
-    }
-  }
-  y_cache_.resize(z_cache_.size());
-  for (std::size_t i = 0; i < z_cache_.size(); ++i) {
-    y_cache_[i] = activate(act_, z_cache_[i]);
-  }
-  return y_cache_;
-}
-
-Vec Conv1D::backward(const Vec& dy) {
-  if (dy.size() != out_len_ * filters_) {
-    throw std::invalid_argument("Conv1D::backward: grad size mismatch");
-  }
-  Vec dx(seq_len_, 0.0);
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      const std::size_t idx = t * filters_ + f;
-      const double dz = dy[idx] * activate_grad(act_, z_cache_[idx],
-                                                y_cache_[idx]);
-      db_(f, 0) += dz;
-      for (std::size_t k = 0; k < kernel_; ++k) {
-        dw_(f, k) += dz * x_cache_[t + k];
-        dx[t + k] += dz * w_(f, k);
-      }
-    }
-  }
-  return dx;
+  conv_one(x.data(), yr.data());
+  for (double& v : yr) v = activate(act_, v);
+  return Vec(yr.begin(), yr.end());
 }
 
 Vec Conv1D::infer(const Vec& x) const {
@@ -315,22 +213,8 @@ Vec Conv1D::infer(const Vec& x) const {
   return y;
 }
 
-Mat Conv1D::forward_batch(const Mat& x) {
-  if (x.cols() != seq_len_) {
-    throw std::invalid_argument("Conv1D::forward_batch: input size mismatch");
-  }
-  xb_cache_ = x;
-  zb_cache_ = Mat(x.rows(), out_len_ * filters_);
-  for (std::size_t n = 0; n < x.rows(); ++n) {
-    conv_one(x.row(n).data(), zb_cache_.row(n).data());
-  }
-  yb_cache_ = zb_cache_;
-  for (double& v : yb_cache_.data()) v = activate(act_, v);
-  return yb_cache_;
-}
-
 void Conv1D::backward_batch(const Mat& dy, Mat* dx) {
-  if (dy.rows() != zb_cache_.rows() || dy.cols() != out_len_ * filters_) {
+  if (dy.rows() != yb_cache_.rows() || dy.cols() != out_len_ * filters_) {
     throw std::invalid_argument("Conv1D::backward_batch: grad shape mismatch");
   }
   if (dx != nullptr) {
@@ -340,13 +224,12 @@ void Conv1D::backward_batch(const Mat& dy, Mat* dx) {
   for (std::size_t n = 0; n < dy.rows(); ++n) {
     const auto xr = xb_cache_.row(n);
     const auto dyr = dy.row(n);
-    const auto zr = zb_cache_.row(n);
     const auto yr = yb_cache_.row(n);
     double* dxr = dx != nullptr ? dx->row(n).data() : nullptr;
     for (std::size_t t = 0; t < out_len_; ++t) {
       for (std::size_t f = 0; f < filters_; ++f) {
         const std::size_t idx = t * filters_ + f;
-        const double dz = dyr[idx] * activate_grad(act_, zr[idx], yr[idx]);
+        const double dz = dyr[idx] * activate_grad(act_, yr[idx]);
         db_(f, 0) += dz;
         // dw and dx accumulate into disjoint elements, so each keeps its
         // own k-ascending chain whether or not dx is computed.
@@ -382,90 +265,32 @@ SimpleRnn::SimpleRnn(std::size_t seq_len, std::size_t hidden, util::Rng& rng)
   wh_.init_xavier(rng);
 }
 
-Vec SimpleRnn::forward(const Vec& x) {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("SimpleRnn::forward: input size mismatch");
-  }
-  x_cache_ = x;
-  h_cache_.assign(seq_len_ + 1, Vec(hidden_, 0.0));
+void SimpleRnn::forward_one(std::span<const double> x, double* hs) const {
+  std::fill(hs, hs + hidden_, 0.0);  // h_0
   for (std::size_t t = 0; t < seq_len_; ++t) {
-    const Vec wh_h = wh_.matvec(h_cache_[t]);
+    const double* h = hs + t * hidden_;
+    double* h_next = hs + (t + 1) * hidden_;
+    const Vec wh_h = wh_.matvec({h, hidden_});
     for (std::size_t i = 0; i < hidden_; ++i) {
-      h_cache_[t + 1][i] =
-          std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
+      h_next[i] = std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
     }
   }
-  return h_cache_.back();
-}
-
-Vec SimpleRnn::backward(const Vec& dy) {
-  if (dy.size() != hidden_) {
-    throw std::invalid_argument("SimpleRnn::backward: grad size mismatch");
-  }
-  Vec dx(seq_len_, 0.0);
-  Vec dh = dy;  // gradient flowing into h_t
-  for (std::size_t t = seq_len_; t-- > 0;) {
-    const Vec& h_next = h_cache_[t + 1];
-    Vec dz(hidden_);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      dz[i] = dh[i] * (1.0 - h_next[i] * h_next[i]);  // tanh'
-    }
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      dwx_(i, 0) += dz[i] * x_cache_[t];
-      db_(i, 0) += dz[i];
-      dx[t] += dz[i] * wx_(i, 0);
-    }
-    dwh_.add_outer(dz, h_cache_[t]);
-    dh = wh_.matvec_transposed(dz);
-  }
-  return dx;
 }
 
 Vec SimpleRnn::infer(const Vec& x) const {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("SimpleRnn::infer: input size mismatch");
   }
-  Vec h(hidden_, 0.0);
-  Vec h_next(hidden_);
-  for (std::size_t t = 0; t < seq_len_; ++t) {
-    const Vec wh_h = wh_.matvec(h);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      h_next[i] = std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
-    }
-    std::swap(h, h_next);
-  }
-  return h;
-}
-
-Mat SimpleRnn::forward_batch(const Mat& x) {
-  if (x.cols() != seq_len_) {
-    throw std::invalid_argument("SimpleRnn::forward_batch: input mismatch");
-  }
-  xb_cache_ = x;
-  hb_cache_.assign(x.rows(), {});
-  Mat out(x.rows(), hidden_);
-  for (std::size_t n = 0; n < x.rows(); ++n) {
-    const auto xr = x.row(n);
-    auto& h_cache = hb_cache_[n];
-    h_cache.assign(seq_len_ + 1, Vec(hidden_, 0.0));
-    for (std::size_t t = 0; t < seq_len_; ++t) {
-      const Vec wh_h = wh_.matvec(h_cache[t]);
-      for (std::size_t i = 0; i < hidden_; ++i) {
-        h_cache[t + 1][i] =
-            std::tanh(wx_(i, 0) * xr[t] + wh_h[i] + b_(i, 0));
-      }
-    }
-    std::copy(h_cache.back().begin(), h_cache.back().end(),
-              out.row(n).begin());
-  }
-  return out;
+  Vec hs((seq_len_ + 1) * hidden_);
+  forward_one(x, hs.data());
+  return Vec(hs.end() - static_cast<std::ptrdiff_t>(hidden_), hs.end());
 }
 
 void SimpleRnn::begin_capture(std::size_t batch) {
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
+    hb_cache_ = Mat(batch, (seq_len_ + 1) * hidden_);
   }
-  hb_cache_.resize(batch);  // per-row recurrences overwrite their slot
 }
 
 Vec SimpleRnn::forward_capture(const Vec& x, std::size_t row) {
@@ -473,15 +298,9 @@ Vec SimpleRnn::forward_capture(const Vec& x, std::size_t row) {
     throw std::invalid_argument("SimpleRnn::forward_capture: input mismatch");
   }
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
-  auto& h_cache = hb_cache_[row];
-  h_cache.assign(seq_len_ + 1, Vec(hidden_, 0.0));
-  for (std::size_t t = 0; t < seq_len_; ++t) {
-    const Vec wh_h = wh_.matvec(h_cache[t]);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      h_cache[t + 1][i] = std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
-    }
-  }
-  return h_cache.back();
+  const auto hs = hb_cache_.row(row);
+  forward_one(x, hs.data());
+  return Vec(hs.end() - static_cast<std::ptrdiff_t>(hidden_), hs.end());
 }
 
 void SimpleRnn::backward_batch(const Mat& dy, Mat* dx) {
@@ -492,14 +311,14 @@ void SimpleRnn::backward_batch(const Mat& dy, Mat* dx) {
     dx->reshape(dy.rows(), seq_len_);
     dx->zero();
   }
+  Vec dz(hidden_);
   for (std::size_t n = 0; n < dy.rows(); ++n) {
     const auto xr = xb_cache_.row(n);
     double* dxr = dx != nullptr ? dx->row(n).data() : nullptr;
-    const auto& h_cache = hb_cache_[n];
+    const double* hs = hb_cache_.row(n).data();
     Vec dh(dy.row(n).begin(), dy.row(n).end());
     for (std::size_t t = seq_len_; t-- > 0;) {
-      const Vec& h_next = h_cache[t + 1];
-      Vec dz(hidden_);
+      const double* h_next = hs + (t + 1) * hidden_;
       for (std::size_t i = 0; i < hidden_; ++i) {
         dz[i] = dh[i] * (1.0 - h_next[i] * h_next[i]);  // tanh'
       }
@@ -510,7 +329,7 @@ void SimpleRnn::backward_batch(const Mat& dy, Mat* dx) {
       if (dxr != nullptr) {
         for (std::size_t i = 0; i < hidden_; ++i) dxr[t] += dz[i] * wx_(i, 0);
       }
-      dwh_.add_outer(dz, h_cache[t]);
+      dwh_.add_outer(dz, {hs + t * hidden_, hidden_});
       dh = wh_.matvec_transposed(dz);
     }
   }
@@ -535,121 +354,92 @@ Lstm::Lstm(std::size_t seq_len, std::size_t hidden, util::Rng& rng)
   for (std::size_t i = 0; i < hidden_; ++i) b_(hidden_ + i, 0) = 1.0;
 }
 
-Vec Lstm::forward_one(std::span<const double> x,
-                      std::vector<StepCache>& steps) const {
-  steps.clear();
-  steps.reserve(seq_len_);
-  Vec h(hidden_, 0.0);
-  Vec c(hidden_, 0.0);
+Vec Lstm::forward_one(std::span<const double> x, double* steps) const {
+  const std::size_t h_dim = hidden_;
+  const Vec zeros(h_dim, 0.0);
+  Vec h(h_dim, 0.0);
+  const double* c_prev = zeros.data();
+  Vec input(1 + h_dim);
   for (std::size_t t = 0; t < seq_len_; ++t) {
     // z = W [x_t; h_{t-1}] + b, split into i, f, g, o.
-    Vec input(1 + hidden_);
     input[0] = x[t];
-    for (std::size_t i = 0; i < hidden_; ++i) input[1 + i] = h[i];
+    std::copy(h.begin(), h.end(), input.begin() + 1);
     const Vec z = w_.matvec(input);
-    StepCache sc;
-    sc.i.resize(hidden_);
-    sc.f.resize(hidden_);
-    sc.g.resize(hidden_);
-    sc.o.resize(hidden_);
-    sc.c.resize(hidden_);
-    sc.h.resize(hidden_);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      sc.i[i] = activate(Activation::kSigmoid, z[i] + b_(i, 0));
-      sc.f[i] = activate(Activation::kSigmoid,
-                         z[hidden_ + i] + b_(hidden_ + i, 0));
-      sc.g[i] = std::tanh(z[2 * hidden_ + i] + b_(2 * hidden_ + i, 0));
-      sc.o[i] = activate(Activation::kSigmoid,
-                         z[3 * hidden_ + i] + b_(3 * hidden_ + i, 0));
-      sc.c[i] = sc.f[i] * c[i] + sc.i[i] * sc.g[i];
-      sc.h[i] = sc.o[i] * std::tanh(sc.c[i]);
+    double* gi = steps + t * step_width();
+    double* gf = gi + h_dim;
+    double* gg = gf + h_dim;
+    double* go = gg + h_dim;
+    double* c = go + h_dim;
+    for (std::size_t i = 0; i < h_dim; ++i) {
+      gi[i] = activate(Activation::kSigmoid, z[i] + b_(i, 0));
+      gf[i] = activate(Activation::kSigmoid, z[h_dim + i] + b_(h_dim + i, 0));
+      gg[i] = std::tanh(z[2 * h_dim + i] + b_(2 * h_dim + i, 0));
+      go[i] = activate(Activation::kSigmoid,
+                       z[3 * h_dim + i] + b_(3 * h_dim + i, 0));
+      c[i] = gf[i] * c_prev[i] + gi[i] * gg[i];
+      h[i] = go[i] * std::tanh(c[i]);
     }
-    h = sc.h;
-    c = sc.c;
-    steps.push_back(std::move(sc));
+    c_prev = c;
   }
   return h;
 }
 
-Vec Lstm::forward(const Vec& x) {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("Lstm::forward: input size mismatch");
-  }
-  x_cache_ = x;
-  return forward_one(x, steps_);
-}
-
-void Lstm::backward_one(std::span<const double> x,
-                        const std::vector<StepCache>& steps, const Vec& dy,
-                        std::span<double> dx) {
-  Vec dh = dy;
-  Vec dc(hidden_, 0.0);
-  const Vec zeros(hidden_, 0.0);
+void Lstm::backward_one(std::span<const double> x, const double* steps,
+                        std::span<const double> dy, std::span<double> dx) {
+  const std::size_t h_dim = hidden_;
+  Vec dh(dy.begin(), dy.end());
+  Vec dc(h_dim, 0.0);
+  const Vec zeros(h_dim, 0.0);
+  Vec dz(4 * h_dim);
+  Vec input(1 + h_dim);
   for (std::size_t t = seq_len_; t-- > 0;) {
-    const StepCache& sc = steps[t];
-    const Vec& c_prev = t > 0 ? steps[t - 1].c : zeros;
-    const Vec& h_prev = t > 0 ? steps[t - 1].h : zeros;
-    Vec dz(4 * hidden_);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      const double tanh_c = std::tanh(sc.c[i]);
+    const double* gi = steps + t * step_width();
+    const double* gf = gi + h_dim;
+    const double* gg = gf + h_dim;
+    const double* go = gg + h_dim;
+    const double* c = go + h_dim;
+    const double* prev = t > 0 ? steps + (t - 1) * step_width() : nullptr;
+    const double* c_prev = prev != nullptr ? prev + 4 * h_dim : zeros.data();
+    for (std::size_t i = 0; i < h_dim; ++i) {
+      const double tanh_c = std::tanh(c[i]);
       const double do_ = dh[i] * tanh_c;
-      const double dct = dh[i] * sc.o[i] * (1.0 - tanh_c * tanh_c) + dc[i];
-      const double di = dct * sc.g[i];
+      const double dct = dh[i] * go[i] * (1.0 - tanh_c * tanh_c) + dc[i];
+      const double di = dct * gg[i];
       const double df = dct * c_prev[i];
-      const double dg = dct * sc.i[i];
-      dz[i] = di * sc.i[i] * (1.0 - sc.i[i]);
-      dz[hidden_ + i] = df * sc.f[i] * (1.0 - sc.f[i]);
-      dz[2 * hidden_ + i] = dg * (1.0 - sc.g[i] * sc.g[i]);
-      dz[3 * hidden_ + i] = do_ * sc.o[i] * (1.0 - sc.o[i]);
-      dc[i] = dct * sc.f[i];
+      const double dg = dct * gi[i];
+      dz[i] = di * gi[i] * (1.0 - gi[i]);
+      dz[h_dim + i] = df * gf[i] * (1.0 - gf[i]);
+      dz[2 * h_dim + i] = dg * (1.0 - gg[i] * gg[i]);
+      dz[3 * h_dim + i] = do_ * go[i] * (1.0 - go[i]);
+      dc[i] = dct * gf[i];
     }
-    Vec input(1 + hidden_);
+    // h_{t-1} = o_{t-1} * tanh(c_{t-1}), recomputed exactly as forward did.
     input[0] = x[t];
-    for (std::size_t i = 0; i < hidden_; ++i) input[1 + i] = h_prev[i];
+    for (std::size_t i = 0; i < h_dim; ++i) {
+      input[1 + i] =
+          prev != nullptr ? prev[3 * h_dim + i] * std::tanh(c_prev[i]) : 0.0;
+    }
     dw_.add_outer(dz, input);
-    for (std::size_t i = 0; i < 4 * hidden_; ++i) db_(i, 0) += dz[i];
+    for (std::size_t i = 0; i < 4 * h_dim; ++i) db_(i, 0) += dz[i];
     const Vec dinput = w_.matvec_transposed(dz);
     if (!dx.empty()) dx[t] += dinput[0];
     dh.assign(dinput.begin() + 1, dinput.end());
   }
 }
 
-Vec Lstm::backward(const Vec& dy) {
-  if (dy.size() != hidden_) {
-    throw std::invalid_argument("Lstm::backward: grad size mismatch");
-  }
-  Vec dx(seq_len_, 0.0);
-  backward_one(x_cache_, steps_, dy, dx);
-  return dx;
-}
-
 Vec Lstm::infer(const Vec& x) const {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Lstm::infer: input size mismatch");
   }
-  std::vector<StepCache> steps;
-  return forward_one(x, steps);
-}
-
-Mat Lstm::forward_batch(const Mat& x) {
-  if (x.cols() != seq_len_) {
-    throw std::invalid_argument("Lstm::forward_batch: input size mismatch");
-  }
-  xb_cache_ = x;
-  steps_batch_.assign(x.rows(), {});
-  Mat out(x.rows(), hidden_);
-  for (std::size_t n = 0; n < x.rows(); ++n) {
-    const Vec h = forward_one(x.row(n), steps_batch_[n]);
-    std::copy(h.begin(), h.end(), out.row(n).begin());
-  }
-  return out;
+  Vec steps(seq_len_ * step_width());
+  return forward_one(x, steps.data());
 }
 
 void Lstm::begin_capture(std::size_t batch) {
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
+    steps_cache_ = Mat(batch, seq_len_ * step_width());
   }
-  steps_batch_.resize(batch);  // forward_one clears its slot per row
 }
 
 Vec Lstm::forward_capture(const Vec& x, std::size_t row) {
@@ -657,7 +447,7 @@ Vec Lstm::forward_capture(const Vec& x, std::size_t row) {
     throw std::invalid_argument("Lstm::forward_capture: input mismatch");
   }
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
-  return forward_one(x, steps_batch_[row]);
+  return forward_one(x, steps_cache_.row(row).data());
 }
 
 void Lstm::backward_batch(const Mat& dy, Mat* dx) {
@@ -669,8 +459,7 @@ void Lstm::backward_batch(const Mat& dy, Mat* dx) {
     dx->zero();
   }
   for (std::size_t n = 0; n < dy.rows(); ++n) {
-    const Vec dyn(dy.row(n).begin(), dy.row(n).end());
-    backward_one(xb_cache_.row(n), steps_batch_[n], dyn,
+    backward_one(xb_cache_.row(n), steps_cache_.row(n).data(), dy.row(n),
                  dx != nullptr ? dx->row(n) : std::span<double>());
   }
 }

@@ -1,20 +1,26 @@
 // Neural network layers with explicit forward/backward passes.
 //
-// Every layer has two training paths over the same math:
-//  - single-sample: forward() caches one sample's inputs, backward()
-//    consumes the upstream gradient, accumulates parameter gradients (so
-//    multi-step A2C batches sum naturally), and returns the input gradient;
-//  - batched: forward_batch(), or a begin_capture()/forward_capture()
-//    sequence that fills one cache row per rollout step, followed by one
-//    backward_batch() per update. Rows are samples, and parameter gradients
-//    accumulate in ascending sample order, bit-identical to the
-//    single-sample loop. The probe trainer (rl::BatchProbeTrainer) runs on
-//    this path.
+// Every layer has one training path: a begin_capture()/forward_capture()
+// sequence fills one cache row per sample — a rollout step, or one sample
+// of a classifier mini-batch — and one backward_batch() per update
+// consumes it. Rows are samples, and parameter gradients accumulate in
+// ascending row order on top of whatever the gradient buffers hold, so N
+// one-row captures each followed by backward_batch() (no zero_grad in
+// between) sum to exactly the bits of one N-row capture and one
+// backward_batch(). infer() is the separate cache-free inference path.
 //
-// Capture-cache lifecycle: a batched forward (or a completed capture
-// sequence) fills the batch caches, and backward_batch() consumes them —
-// Dense overwrites its pre-activation z cache with dz in place — so each
-// backward_batch() needs a fresh batched forward or capture before it.
+// Capture-cache lifecycle: begin_capture(batch) sizes every batch cache
+// (reallocating only when the shape changes, so a fixed episode length
+// allocates once), forward_capture(x, row) overwrites row `row` in full,
+// and backward_batch() consumes the rows — Dense overwrites its output
+// cache with dz in place — so each backward_batch() needs a fresh capture
+// sequence before it. Dense and Conv1D capture inputs and outputs only
+// (activate_grad needs no pre-activation). The recurrent layers keep a whole
+// sample's recurrence flat in one row of a single Mat: SimpleRnn stores
+// h_0..h_T (h_0 = 0), and Lstm stores, per step, the gate activations
+// i, f, g, o and the post-step cell c (backward recomputes h = o * tanh(c)
+// with the same bits the forward pass produced).
+//
 // backward_batch() computes the input gradient only when given somewhere
 // to put it: the actor-critic tower's observation-facing branches pass
 // nullptr, since their upstream is the observation, not a trainable tensor.
@@ -22,6 +28,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/mat.h"
@@ -33,8 +40,10 @@ enum class Activation { kLinear, kRelu, kLeakyRelu, kTanh, kSigmoid, kElu };
 
 [[nodiscard]] const char* activation_name(Activation a);
 [[nodiscard]] double activate(Activation a, double z);
-/// Derivative with respect to pre-activation z, given z and y=activate(z).
-[[nodiscard]] double activate_grad(Activation a, double z, double y);
+/// Derivative with respect to the pre-activation z, from y = activate(a, z)
+/// alone: every activation here has y > 0 exactly when z > 0, so the
+/// piecewise ones branch on y and the capture caches need not keep z.
+[[nodiscard]] double activate_grad(Activation a, double y);
 
 /// A trainable parameter and its gradient accumulator.
 struct ParamRef {
@@ -46,37 +55,22 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output, caching what backward needs.
-  virtual Vec forward(const Vec& x) = 0;
-
-  /// Backpropagates dy (gradient of loss wrt output); accumulates parameter
-  /// gradients and returns gradient wrt the input of the last forward().
-  virtual Vec backward(const Vec& dy) = 0;
-
-  /// Batched forward: each row of `x` is one sample. Row b of the result is
-  /// bit-identical to forward(row b); caches (separately from the
-  /// single-sample caches) what backward_batch needs.
-  virtual Mat forward_batch(const Mat& x) = 0;
-
-  /// Batched backward for the last forward_batch() (or a completed
-  /// begin_capture()/forward_capture() sequence). Accumulates parameter
-  /// gradients in ascending sample order — bit-identical to a loop of
-  /// single-sample forward/backward calls. When `dx` is non-null it
-  /// receives the per-row input gradients (reshaped to batch x in_dim; it
-  /// must not alias `dy`); when null, that work is skipped and the
-  /// parameter gradients are unchanged. Consumes the batch caches (see the
-  /// file comment): call it once per batched forward or capture sequence.
-  virtual void backward_batch(const Mat& dy, Mat* dx) = 0;
-
-  /// Row-at-a-time batched forward, for callers that produce samples one
-  /// step at a time (a policy rollout) but want the batch caches filled as
-  /// they go so no second forward pass is needed before backward_batch.
-  /// begin_capture sizes the caches; forward_capture computes one sample
-  /// (bit-identical to forward()) and writes its caches into `row`.
+  /// Sizes the batch caches for `batch` samples (see the file comment).
   virtual void begin_capture(std::size_t batch) = 0;
+
+  /// Computes one sample's output and writes what backward_batch needs
+  /// into cache row `row`.
   virtual Vec forward_capture(const Vec& x, std::size_t row) = 0;
 
-  /// Allocation-light inference: same math as forward() but touches no
+  /// Backpropagates `dy` (one row per captured sample) through the last
+  /// capture sequence. Adds the parameter gradients to the gradient
+  /// buffers in ascending row order. When `dx` is non-null it receives the
+  /// per-row input gradients (reshaped to batch x in_dim; it must not
+  /// alias `dy`); when null, that work is skipped and the parameter
+  /// gradients are unchanged. Consumes the batch caches.
+  virtual void backward_batch(const Mat& dy, Mat* dx) = 0;
+
+  /// Cache-free inference: same math as forward_capture but touches no
   /// training caches, so it is const and safe on a shared layer.
   [[nodiscard]] virtual Vec infer(const Vec& x) const = 0;
 
@@ -84,11 +78,10 @@ class Layer {
   /// transposed weights, which turn the latency-bound matvec into a
   /// vectorizable sweep with the same per-element accumulation order).
   /// Contract: once a layer has been synced, it must be re-synced after
-  /// every parameter change before the next infer(), forward_capture(),
-  /// or forward_batch() — those paths read the cached transpose when one
-  /// exists. forward()/backward() always read the live weights, so plain
-  /// single-sample training never needs syncing; a layer that has never
-  /// been synced uses its slow exact path everywhere.
+  /// every parameter change before the next infer() or forward_capture() —
+  /// both read the cached transpose when one exists. A layer that has
+  /// never been synced uses its slow exact path everywhere, with the same
+  /// result bits.
   virtual void sync_inference_cache() {}
 
   virtual std::vector<ParamRef> params() = 0;
@@ -104,12 +97,9 @@ class Dense : public Layer {
  public:
   Dense(std::size_t in, std::size_t out, Activation act, util::Rng& rng);
 
-  Vec forward(const Vec& x) override;
-  Vec backward(const Vec& dy) override;
-  Mat forward_batch(const Mat& x) override;
-  void backward_batch(const Mat& dy, Mat* dx) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
+  void backward_batch(const Mat& dy, Mat* dx) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
   void sync_inference_cache() override;
   std::vector<ParamRef> params() override;
@@ -120,9 +110,8 @@ class Dense : public Layer {
   Mat w_, dw_;
   Mat b_, db_;
   Activation act_;
-  Vec x_cache_, z_cache_, y_cache_;
-  Mat xb_cache_, yb_cache_;
-  Mat zb_cache_;  ///< batch z; backward_batch overwrites it with dz
+  Mat xb_cache_;
+  Mat yb_cache_;  ///< batch outputs; backward_batch overwrites them with dz
   Mat wt_cache_;  ///< w_^T; empty until sync_inference_cache()
 };
 
@@ -135,12 +124,9 @@ class Conv1D : public Layer {
   Conv1D(std::size_t seq_len, std::size_t filters, std::size_t kernel,
          Activation act, util::Rng& rng);
 
-  Vec forward(const Vec& x) override;
-  Vec backward(const Vec& dy) override;
-  Mat forward_batch(const Mat& x) override;
-  void backward_batch(const Mat& dy, Mat* dx) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
+  void backward_batch(const Mat& dy, Mat* dx) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
   void sync_inference_cache() override;
   std::vector<ParamRef> params() override;
@@ -151,7 +137,7 @@ class Conv1D : public Layer {
   [[nodiscard]] std::size_t out_len() const { return out_len_; }
 
  private:
-  /// z for one sample, written filter-major per t with the serial
+  /// z for one sample, written filter-major per t with a fixed
   /// accumulation order (bias first, then kernel taps k-ascending).
   void conv_one(const double* x, double* z) const;
 
@@ -159,8 +145,7 @@ class Conv1D : public Layer {
   Mat w_, dw_;  // filters x kernel
   Mat b_, db_;  // filters x 1
   Activation act_;
-  Vec x_cache_, z_cache_, y_cache_;
-  Mat xb_cache_, zb_cache_, yb_cache_;
+  Mat xb_cache_, yb_cache_;
   Mat wt_cache_;  ///< w_^T (kernel x filters); empty until synced
 };
 
@@ -171,26 +156,25 @@ class SimpleRnn : public Layer {
  public:
   SimpleRnn(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
 
-  Vec forward(const Vec& x) override;
-  Vec backward(const Vec& dy) override;
-  Mat forward_batch(const Mat& x) override;
-  void backward_batch(const Mat& dy, Mat* dx) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
+  void backward_batch(const Mat& dy, Mat* dx) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::size_t in_dim() const override { return seq_len_; }
   [[nodiscard]] std::size_t out_dim() const override { return hidden_; }
 
  private:
+  /// One sample's recurrence: writes h_0..h_T ((seq_len + 1) x hidden,
+  /// h_0 = 0) to `hs`.
+  void forward_one(std::span<const double> x, double* hs) const;
+
   std::size_t seq_len_, hidden_;
   Mat wx_, dwx_;  // hidden x 1
   Mat wh_, dwh_;  // hidden x hidden
   Mat b_, db_;    // hidden x 1
-  Vec x_cache_;
-  std::vector<Vec> h_cache_;  // h_0..h_T (h_0 = zeros)
   Mat xb_cache_;
-  std::vector<std::vector<Vec>> hb_cache_;  // per sample: h_0..h_T
+  Mat hb_cache_;  ///< per sample: h_0..h_T, (seq_len + 1) * hidden wide
 };
 
 /// LSTM over a scalar sequence; returns the final hidden state. Used by the
@@ -199,40 +183,36 @@ class Lstm : public Layer {
  public:
   Lstm(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
 
-  Vec forward(const Vec& x) override;
-  Vec backward(const Vec& dy) override;
-  Mat forward_batch(const Mat& x) override;
-  void backward_batch(const Mat& dy, Mat* dx) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
+  void backward_batch(const Mat& dy, Mat* dx) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::size_t in_dim() const override { return seq_len_; }
   [[nodiscard]] std::size_t out_dim() const override { return hidden_; }
 
  private:
-  struct StepCache {
-    Vec i, f, g, o;  // gate activations
-    Vec c, h;        // post-step cell and hidden
-  };
+  /// Per-step cache fields, each `hidden` wide: gates i, f, g, o, then the
+  /// post-step cell c.
+  static constexpr std::size_t kStepFields = 5;
 
-  /// One sample's forward recurrence; appends per-step caches to `steps`.
-  Vec forward_one(std::span<const double> x, std::vector<StepCache>& steps)
-      const;
+  [[nodiscard]] std::size_t step_width() const {
+    return kStepFields * hidden_;
+  }
+  /// One sample's forward recurrence; writes every step's fields to
+  /// `steps` (seq_len x step_width()) and returns the final hidden state.
+  Vec forward_one(std::span<const double> x, double* steps) const;
   /// One sample's BPTT; accumulates dw_/db_ and adds the input gradient
   /// into `dx` (skipped when `dx` is empty).
-  void backward_one(std::span<const double> x,
-                    const std::vector<StepCache>& steps, const Vec& dy,
-                    std::span<double> dx);
+  void backward_one(std::span<const double> x, const double* steps,
+                    std::span<const double> dy, std::span<double> dx);
 
   std::size_t seq_len_, hidden_;
   // Gate weights stacked [i; f; g; o]: (4H x (1 + H)) over [x_t, h_{t-1}].
   Mat w_, dw_;
   Mat b_, db_;  // 4H x 1
-  Vec x_cache_;
-  std::vector<StepCache> steps_;
   Mat xb_cache_;
-  std::vector<std::vector<StepCache>> steps_batch_;
+  Mat steps_cache_;  ///< per sample: seq_len * step_width() step fields
 };
 
 }  // namespace nada::nn

@@ -103,8 +103,8 @@ double Mat::frobenius_norm() const {
 // The batched kernels are register-tiled: four samples (or four
 // accumulation steps) advance together through independent accumulators,
 // while each OUTPUT ELEMENT still accumulates its own products in exactly
-// the serial order, so results stay bit-identical to the single-sample
-// loops (pinned by tests/nn_test.cpp's bitwise comparisons). The loop
+// the serial order, so results stay bit-identical to the matching
+// one-sample Mat loops (pinned by tests/nn_test.cpp's bitwise comparisons). The loop
 // bodies live in nn/mat_kernels.* in scalar/avx2/fma flavors; these
 // wrappers shape-check, tally call volume for the nn.matmul.* metrics,
 // and dispatch to the active flavor.
@@ -119,17 +119,6 @@ inline void tally_matmul(std::size_t n, std::size_t inner, std::size_t m) {
 }
 
 }  // namespace
-
-Mat matmul_nt(const Mat& a, const Mat& b) {
-  if (a.cols() != b.cols()) {
-    throw std::invalid_argument("matmul_nt: inner dimension mismatch");
-  }
-  Mat c(a.rows(), b.rows());
-  tally_matmul(a.rows(), a.cols(), b.rows());
-  active_kernels().matmul_nt(a.ptr(), b.ptr(), c.ptr(), a.rows(), a.cols(),
-                             b.rows());
-  return c;
-}
 
 Mat matmul(const Mat& a, const Mat& b) {
   if (a.cols() != b.rows()) {

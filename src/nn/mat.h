@@ -104,20 +104,15 @@ class Mat {
 
 // ---- Batched (matrix-matrix) kernels --------------------------------------
 //
-// These back the batched layer forward/backward passes. Each kernel's
-// per-element accumulation order matches its single-sample counterpart
-// exactly, so batched results are bit-identical to a loop of single-sample
-// calls — the property the batched/serial probe equivalence test pins down.
+// These back the layers' batched backward passes. Each kernel's
+// per-element accumulation order matches its Mat matvec/add_outer
+// counterpart exactly, so a result never depends on how many samples share
+// a call — the property behind the trainer's block-size independence.
 //
 // Since the SIMD flavors landed, these wrappers shape-check, account call
 // volume, and dispatch to the active kernel flavor (nn/mat_kernels.h):
 // scalar and avx2 are bit-identical by contract, fma is pinned-divergent
 // and scoped out of scalar journals via the kernel=fma store-scope token.
-
-/// C = A * B^T with A (n x k) and B (m x k) -> C (n x m). Row i of C is
-/// bit-identical to B.matvec(row i of A): the k-dimension accumulates in
-/// ascending order into a fresh accumulator per element.
-[[nodiscard]] Mat matmul_nt(const Mat& a, const Mat& b);
 
 /// C = A * B with A (n x r) and B (r x m) -> C (n x m). Row i of C is
 /// bit-identical to B.matvec_transposed(row i of A): the r-dimension

@@ -54,9 +54,8 @@ PolicyAgent::Decision PolicyAgent::decide(const dsl::Bindings& obs,
   if (!matrix.all_finite()) {
     throw dsl::RuntimeError("state program produced non-finite values");
   }
-  // Inference-only forward: bit-identical to net().forward, leaves the
-  // training caches alone, and rides the fast path on a synced net (the
-  // batched probe trainer's checkpoint evaluations).
+  // Inference-only forward: leaves the training caches alone, and rides
+  // the fast path on a synced net (the trainer's checkpoint evaluations).
   const auto out = net_->forward_inference(network_rows(matrix));
   Decision d;
   d.probs = out.probs;
@@ -75,13 +74,6 @@ PolicyAgent::Decision PolicyAgent::decide(const dsl::Bindings& obs,
 PolicyAgent::Decision PolicyAgent::decide(const env::Observation& obs,
                                           bool sample, util::Rng& rng) {
   return decide(env::bindings_from_observation(obs), sample, rng);
-}
-
-void PolicyAgent::forward_backward(const dsl::Bindings& obs,
-                                   const nn::Vec& dlogits, double dvalue) {
-  const dsl::StateMatrix& matrix = eval_state(obs);
-  (void)net_->forward(network_rows(matrix));
-  net_->backward(dlogits, dvalue);
 }
 
 }  // namespace nada::rl

@@ -51,11 +51,6 @@ class PolicyAgent {
   /// ABR convenience overload.
   Decision decide(const env::Observation& obs, bool sample, util::Rng& rng);
 
-  /// Re-runs the forward pass for `obs` (so layer caches are fresh) and
-  /// backpropagates the combined policy/value gradient.
-  void forward_backward(const dsl::Bindings& obs, const nn::Vec& dlogits,
-                        double dvalue);
-
   /// Runs the state program on `obs` through the active engine (the
   /// agent-owned Vm by default, the tree-walk under NADA_DSL_EXEC=tree)
   /// and returns the agent-owned matrix, valid until the next eval_state

@@ -1,6 +1,8 @@
 #include "rl/session.h"
 
 #include <algorithm>
+#include <iterator>
+#include <stdexcept>
 
 #include "util/stats.h"
 
@@ -64,22 +66,8 @@ SessionResult run_sessions(const env::TaskDomain& domain,
                            const nn::ArchSpec& spec,
                            const SessionConfig& config,
                            std::uint64_t base_seed, util::ThreadPool* pool) {
-  if (config.seeds == 0) {
-    throw std::invalid_argument("run_sessions: zero seeds");
-  }
-  std::vector<TrainResult> sessions(config.seeds);
-  auto run_one = [&](std::size_t i) {
-    Trainer trainer(domain, config.train,
-                    base_seed + 0x9e3779b9ULL * (i + 1));
-    sessions[i] = trainer.train(program, spec);
-  };
-  if (pool != nullptr && config.seeds > 1) {
-    pool->parallel_for(config.seeds, run_one);
-  } else {
-    for (std::size_t i = 0; i < config.seeds; ++i) run_one(i);
-  }
-  return aggregate_sessions(std::move(sessions),
-                            config.train.emulation_final_eval);
+  return std::move(run_session_batch(
+      domain, {SessionJob{&program, &spec, base_seed}}, config, pool)[0]);
 }
 
 SessionResult run_sessions(const trace::Dataset& dataset,
@@ -104,27 +92,27 @@ std::vector<SessionResult> run_session_batch(const env::TaskDomain& domain,
       throw std::invalid_argument("run_session_batch: null job member");
     }
   }
-  // Flatten (job, seed) into one task list.
-  std::vector<std::vector<TrainResult>> per_job(jobs.size());
-  for (auto& v : per_job) v.resize(config.seeds);
-  const std::size_t total = jobs.size() * config.seeds;
-  auto run_one = [&](std::size_t flat) {
-    const std::size_t j = flat / config.seeds;
-    const std::size_t s = flat % config.seeds;
-    Trainer trainer(domain, config.train,
-                    jobs[j].base_seed + 0x9e3779b9ULL * (s + 1));
-    per_job[j][s] = trainer.train(*jobs[j].program, *jobs[j].spec);
-  };
-  if (pool != nullptr && total > 1) {
-    pool->parallel_for(total, run_one);
-  } else {
-    for (std::size_t i = 0; i < total; ++i) run_one(i);
+  // Flatten (job, seed) into one list, one job per lockstep block: the
+  // pool schedules every (design, seed) pair as its own task.
+  std::vector<TrainJob> flat;
+  flat.reserve(jobs.size() * config.seeds);
+  for (const auto& job : jobs) {
+    for (std::size_t s = 0; s < config.seeds; ++s) {
+      flat.push_back(TrainJob{job.program, job.spec,
+                              job.base_seed + 0x9e3779b9ULL * (s + 1)});
+    }
   }
+  const Trainer trainer(domain, config.train, /*block_size=*/1);
+  std::vector<TrainResult> trained = trainer.train(flat, pool);
   std::vector<SessionResult> results;
   results.reserve(jobs.size());
-  for (auto& sessions : per_job) {
-    results.push_back(aggregate_sessions(std::move(sessions),
-                                         config.train.emulation_final_eval));
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const auto first = std::make_move_iterator(
+        trained.begin() + static_cast<std::ptrdiff_t>(j * config.seeds));
+    results.push_back(aggregate_sessions(
+        std::vector<TrainResult>(
+            first, first + static_cast<std::ptrdiff_t>(config.seeds)),
+        config.train.emulation_final_eval));
   }
   return results;
 }

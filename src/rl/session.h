@@ -67,8 +67,8 @@ struct SessionJob {
 };
 
 /// Trains many designs, flattening every (design, seed) pair into one
-/// parallel work list — keeps all pool threads busy even when designs
-/// outnumber seeds or vice versa.
+/// rl::Trainer job list at block size 1 — one pool task per session keeps
+/// all pool threads busy even when designs outnumber seeds or vice versa.
 [[nodiscard]] std::vector<SessionResult> run_session_batch(
     const env::TaskDomain& domain, const std::vector<SessionJob>& jobs,
     const SessionConfig& config, util::ThreadPool* pool);

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 
-#include "env/abr_env.h"
+#include "nn/mat_kernels.h"
 #include "nn/optimizer.h"
+#include "obs/scoped_timer.h"
 #include "util/stats.h"
 
 namespace nada::rl {
@@ -34,35 +37,6 @@ double evaluate_agent(PolicyAgent& agent, const env::TaskDomain& domain,
                         fidelity, eval_seed);
 }
 
-double evaluate_agent(PolicyAgent& agent,
-                      std::span<const trace::Trace> test_traces,
-                      std::span<const std::size_t> indices,
-                      const video::Video& video, env::Fidelity fidelity,
-                      std::uint64_t eval_seed) {
-  util::Rng eval_rng(eval_seed);
-  util::RunningStats chunk_rewards;
-  for (std::size_t idx : indices) {
-    env::AbrEnv env(test_traces[idx], video, fidelity, eval_rng);
-    env::Observation obs = env.reset();
-    while (!env.done()) {
-      const auto decision = agent.decide(obs, /*sample=*/false, eval_rng);
-      const env::StepResult step = env.step(decision.action);
-      chunk_rewards.add(step.reward);
-      obs = step.observation;
-    }
-  }
-  return chunk_rewards.mean();
-}
-
-double evaluate_agent(PolicyAgent& agent,
-                      std::span<const trace::Trace> test_traces,
-                      const video::Video& video, env::Fidelity fidelity,
-                      std::uint64_t eval_seed) {
-  return evaluate_agent(agent, test_traces,
-                        eval_trace_indices(test_traces.size(), 0), video,
-                        fidelity, eval_seed);
-}
-
 std::vector<std::size_t> eval_trace_indices(std::size_t num_traces,
                                             std::size_t cap) {
   if (cap == 0 || cap >= num_traces) {
@@ -79,12 +53,18 @@ std::vector<std::size_t> eval_trace_indices(std::size_t num_traces,
   return picked;
 }
 
+namespace {
+
+// ---- A2C loss arithmetic ----------------------------------------------------
+
+/// TrainConfig::reward_scale with its 0 = "domain hint" default resolved.
 double resolve_reward_scale(const TrainConfig& config,
                             const env::TaskDomain& domain) {
   return config.reward_scale > 0.0 ? config.reward_scale
                                    : domain.reward_scale_hint();
 }
 
+/// Discounted returns over scaled rewards, newest-to-oldest accumulation.
 std::vector<double> discounted_returns(std::span<const double> rewards,
                                        double reward_scale, double gamma) {
   std::vector<double> returns(rewards.size());
@@ -96,6 +76,7 @@ std::vector<double> discounted_returns(std::span<const double> rewards,
   return returns;
 }
 
+/// In-place advantage standardization and clipping per TrainConfig.
 void condition_advantages(const TrainConfig& config,
                           std::vector<double>& advantages) {
   if (config.normalize_advantages && advantages.size() > 1) {
@@ -110,6 +91,8 @@ void condition_advantages(const TrainConfig& config,
   }
 }
 
+/// One step's policy gradient (entropy-regularized, written into `dlogits`)
+/// and Huber critic gradient (returned).
 double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
                          std::size_t action, double advantage,
                          double step_return, double value,
@@ -132,147 +115,331 @@ double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
   return 2.0 * config.critic_weight * value_error * scale;
 }
 
+}  // namespace
+
+/// Everything one job carries through the lockstep loop. The RNG is the
+/// job's private stream: episode choice, episode offset, action sampling,
+/// and — under emulation fidelity — the session's jitter all draw from it
+/// in a fixed order, so no other job in the block can shift its draws.
+struct Trainer::Candidate {
+  const TrainJob* job = nullptr;
+  TrainResult* result = nullptr;
+  util::Rng rng;
+  std::unique_ptr<PolicyAgent> agent;
+  std::unique_ptr<nn::Adam> optimizer;
+  std::unique_ptr<env::Episode> episode;
+  dsl::Bindings obs;
+  bool failed = false;
+  bool episode_done = false;
+  // Current episode's trajectory. The rollout's forward_capture fills the
+  // network's batch caches row by row and its outputs are recorded here,
+  // so the fused update needs no forward pass at all.
+  std::vector<nn::Vec> step_probs;
+  nn::Vec step_values;
+  std::vector<std::size_t> actions;
+  std::vector<double> rewards;
+
+  Candidate(const TrainJob& j, TrainResult& r)
+      : job(&j), result(&r), rng(j.seed) {}
+
+  void fail(const std::exception& e) {
+    failed = true;
+    result->failed = true;
+    result->error = e.what();
+    result->final_score = -1e9;
+  }
+};
+
 Trainer::Trainer(std::shared_ptr<const env::TaskDomain> domain,
-                 TrainConfig config, std::uint64_t seed)
+                 TrainConfig config, std::size_t block_size,
+                 obs::MetricsRegistry* metrics)
     : owned_domain_(std::move(domain)), domain_(owned_domain_.get()),
-      config_(config), seed_(seed), rng_(seed) {
+      config_(config), block_size_(block_size), metrics_(metrics) {
   if (config_.epochs == 0) {
     throw std::invalid_argument("Trainer: zero epochs");
   }
   if (config_.test_interval == 0) {
     throw std::invalid_argument("Trainer: zero test interval");
   }
+  if (block_size_ == 0) {
+    throw std::invalid_argument("Trainer: zero block size");
+  }
   eval_indices_ =
       eval_trace_indices(domain_->num_eval_units(), config_.max_eval_traces);
 }
 
 Trainer::Trainer(const env::TaskDomain& domain, TrainConfig config,
-                 std::uint64_t seed)
+                 std::size_t block_size, obs::MetricsRegistry* metrics)
     : Trainer(std::shared_ptr<const env::TaskDomain>(
                   std::shared_ptr<void>{}, &domain),
-              config, seed) {}
+              config, block_size, metrics) {}
 
 Trainer::Trainer(const trace::Dataset& dataset, const video::Video& video,
-                 TrainConfig config, std::uint64_t seed)
+                 TrainConfig config, std::size_t block_size,
+                 obs::MetricsRegistry* metrics)
     : Trainer(std::make_shared<env::AbrDomain>(dataset, video), config,
-              seed) {}
+              block_size, metrics) {}
 
-double Trainer::checkpoint_eval(PolicyAgent& agent) const {
-  return evaluate_agent(agent, *domain_, eval_indices_, config_.fidelity,
-                        seed_ ^ 0x5eedf00d);
-}
-
-void Trainer::run_epoch(PolicyAgent& agent, nn::Adam& optimizer,
-                        double entropy_weight, TrainResult& result) {
-  const auto episode =
-      domain_->start_train_episode(config_.fidelity, rng_);
-
-  struct Step {
-    dsl::Bindings obs;
-    std::size_t action = 0;
-    double reward = 0.0;
-    double value = 0.0;
+std::vector<TrainResult> Trainer::train(std::span<const TrainJob> jobs,
+                                        util::ThreadPool* pool) const {
+  for (const auto& job : jobs) {
+    if (job.program == nullptr || job.spec == nullptr) {
+      throw std::invalid_argument("Trainer: null job member");
+    }
+  }
+  std::vector<TrainResult> results(jobs.size());
+  if (jobs.empty()) return results;
+  const std::size_t num_blocks = (jobs.size() + block_size_ - 1) / block_size_;
+  auto run_block = [&](std::size_t bi) {
+    const std::size_t begin = bi * block_size_;
+    const std::size_t count = std::min(block_size_, jobs.size() - begin);
+    train_block(jobs.subspan(begin, count),
+                std::span<TrainResult>(results).subspan(begin, count));
   };
-  std::vector<Step> steps;
-  steps.reserve(domain_->episode_length());
-
-  dsl::Bindings obs = episode->reset();
-  while (!episode->done()) {
-    const auto decision = agent.decide(obs, /*sample=*/true, rng_);
-    env::DomainStep sr = episode->step(decision.action);
-    steps.push_back(
-        Step{std::move(obs), decision.action, sr.reward, decision.value});
-    obs = std::move(sr.observation);
+  if (pool != nullptr && num_blocks > 1) {
+    pool->parallel_for(num_blocks, run_block);
+  } else {
+    for (std::size_t bi = 0; bi < num_blocks; ++bi) run_block(bi);
   }
-
-  // Discounted returns over scaled rewards (see TrainConfig::reward_scale).
-  const double reward_scale = resolve_reward_scale(config_, *domain_);
-  std::vector<double> rewards(steps.size());
-  for (std::size_t t = 0; t < steps.size(); ++t) rewards[t] = steps[t].reward;
-  const std::vector<double> returns =
-      discounted_returns(rewards, reward_scale, config_.gamma);
-
-  // First pass: fresh values for the advantage estimates.
-  std::vector<double> advantages(steps.size());
-  std::vector<dsl::StateMatrix> matrices;
-  matrices.reserve(steps.size());
-  for (std::size_t t = 0; t < steps.size(); ++t) {
-    matrices.push_back(agent.eval_state(steps[t].obs));
-    const auto out = agent.net().forward(agent.network_rows(matrices[t]));
-    advantages[t] = returns[t] - out.value;
-  }
-  condition_advantages(config_, advantages);
-
-  // Accumulate policy + value gradients over the episode.
-  agent.net().zero_grad();
-  const double scale = 1.0 / static_cast<double>(steps.size());
-  const std::size_t num_actions = agent.net().num_actions();
-  double reward_sum = 0.0;
-  for (std::size_t t = 0; t < steps.size(); ++t) {
-    reward_sum += steps[t].reward;
-    const auto out = agent.net().forward(agent.network_rows(matrices[t]));
-    nn::Vec dlogits(num_actions);
-    const double dvalue =
-        a2c_step_gradient(config_, out.probs, steps[t].action, advantages[t],
-                          returns[t], out.value, entropy_weight, scale,
-                          dlogits);
-    agent.net().backward(dlogits, dvalue);
-  }
-  auto params = agent.net().params();
-  nn::Optimizer::clip_global_norm(params, config_.grad_clip);
-  optimizer.step(params);
-
-  result.train_rewards.push_back(reward_sum /
-                                 static_cast<double>(steps.size()));
+  return results;
 }
 
 TrainResult Trainer::train(const dsl::StateProgram& program,
-                           const nn::ArchSpec& spec) {
-  TrainResult result;
-  try {
-    util::Rng init_rng(seed_ ^ 0xabcdef1234567890ULL);
-    PolicyAgent agent(program, spec, domain_->num_actions(),
-                      domain_->catalog(), init_rng);
-    nn::Adam optimizer(config_.learning_rate);
+                           const nn::ArchSpec& spec,
+                           std::uint64_t seed) const {
+  const TrainJob job{&program, &spec, seed};
+  return std::move(train(std::span<const TrainJob>(&job, 1)).front());
+}
 
-    for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-      const double progress =
-          config_.epochs > 1
-              ? static_cast<double>(epoch) /
-                    static_cast<double>(config_.epochs - 1)
-              : 1.0;
-      const double entropy_weight =
-          config_.entropy_start +
-          (config_.entropy_end - config_.entropy_start) * progress;
-      run_epoch(agent, optimizer, entropy_weight, result);
+void Trainer::step_candidate(Candidate& c) const {
+  // PolicyAgent::decide(obs, sample=true, rng) followed by episode->step(),
+  // keeping the step's outputs for the fused update.
+  const dsl::StateMatrix& matrix = c.agent->eval_state(c.obs);
+  if (!matrix.all_finite()) {
+    throw dsl::RuntimeError("state program produced non-finite values");
+  }
+  // Capture forward: runs on the synced fast inference path and writes
+  // this step's row of the batch caches, so the epoch update can go
+  // straight to backward_batch.
+  auto out = c.agent->net().forward_capture(c.agent->network_rows(matrix),
+                                            c.actions.size());
+  const std::size_t action = c.rng.weighted_index(out.probs);
+  env::DomainStep sr = c.episode->step(action);
+  c.step_probs.push_back(std::move(out.probs));
+  c.step_values.push_back(out.value);
+  c.actions.push_back(action);
+  c.rewards.push_back(sr.reward);
+  c.obs = std::move(sr.observation);
+  c.episode_done = sr.done;
+}
 
-      if (config_.evaluate_checkpoints &&
-          (epoch + 1) % config_.test_interval == 0) {
-        const double score = checkpoint_eval(agent);
-        result.test_epochs.push_back(static_cast<double>(epoch + 1));
-        result.test_scores.push_back(score);
+void Trainer::update_candidate(Candidate& c, double entropy_weight) const {
+  const std::size_t steps = c.actions.size();
+
+  const double reward_scale = resolve_reward_scale(config_, *domain_);
+  const std::vector<double> returns =
+      discounted_returns(c.rewards, reward_scale, config_.gamma);
+
+  // The rollout's capture pass already computed every activation this
+  // update needs (the weights do not move within an epoch): probs and
+  // values were recorded per step, and the layers' batch caches hold the
+  // rows backward_batch reads. Episodes always span the domain's full
+  // fixed length, so the capture must have filled every row.
+  if (steps != domain_->episode_length()) {
+    throw std::logic_error("Trainer: episode/capture length skew");
+  }
+  std::vector<double> advantages(steps);
+  for (std::size_t t = 0; t < steps; ++t) {
+    advantages[t] = returns[t] - c.step_values[t];
+  }
+  condition_advantages(config_, advantages);
+
+  c.agent->net().zero_grad();
+  const double scale = 1.0 / static_cast<double>(steps);
+  const std::size_t num_actions = c.agent->net().num_actions();
+  double reward_sum = 0.0;
+  nn::Mat dlogits(steps, num_actions);
+  nn::Vec dvalues(steps);
+  for (std::size_t t = 0; t < steps; ++t) {
+    reward_sum += c.rewards[t];
+    dvalues[t] = a2c_step_gradient(config_, c.step_probs[t], c.actions[t],
+                                   advantages[t], returns[t],
+                                   c.step_values[t], entropy_weight, scale,
+                                   dlogits.row(t));
+  }
+  c.agent->net().backward_batch(dlogits, dvalues);
+  auto params = c.agent->net().params();
+  nn::Optimizer::clip_global_norm(params, config_.grad_clip);
+  c.optimizer->step(params);
+  // Weights moved: refresh the transposed caches the next rollout's
+  // forward_capture (and any checkpoint evaluation's forward_inference)
+  // reads.
+  c.agent->net().sync_inference_cache();
+
+  c.result->train_rewards.push_back(reward_sum /
+                                    static_cast<double>(steps));
+}
+
+void Trainer::checkpoint_eval(Candidate& c, double epoch) const {
+  const double score =
+      evaluate_agent(*c.agent, *domain_, eval_indices_, config_.fidelity,
+                     c.job->seed ^ 0x5eedf00d);
+  c.result->test_epochs.push_back(epoch);
+  c.result->test_scores.push_back(score);
+}
+
+void Trainer::finalize_candidate(Candidate& c) const {
+  TrainResult& result = *c.result;
+  if (config_.evaluate_checkpoints && result.test_scores.empty()) {
+    // Budget smaller than the checkpoint interval: evaluate once at end.
+    checkpoint_eval(c, static_cast<double>(config_.epochs));
+  }
+  result.final_score = config_.evaluate_checkpoints
+                           ? util::tail_mean(result.test_scores, 10)
+                           : util::tail_mean(result.train_rewards, 10);
+  if (config_.emulation_final_eval) {
+    result.emulation_score =
+        evaluate_agent(*c.agent, *domain_, env::Fidelity::kEmulation,
+                       c.job->seed ^ 0xe111u);
+  }
+}
+
+void Trainer::train_block(std::span<const TrainJob> jobs,
+                          std::span<TrainResult> results) const {
+  obs::ScopedTimer timer(
+      obs::maybe_histogram(metrics_, "rl.probe_block.seconds"));
+  // A block runs entirely on one thread, so the delta of this thread's
+  // kernel tallies across the block is exactly the block's own mat-mat
+  // volume (published below alongside the dsl.exec.* aggregates).
+  const nn::KernelCounters kernels_before = nn::thread_kernel_counters();
+  if (metrics_ != nullptr) {
+    metrics_->counter("rl.probe_blocks").add();
+    metrics_->counter("rl.probe_block_candidates").add(jobs.size());
+    metrics_->gauge("nn.kernel.flavor")
+        .set(static_cast<double>(static_cast<int>(nn::kernel_flavor())));
+  }
+  std::vector<Candidate> block;
+  block.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    block.emplace_back(jobs[i], results[i]);
+  }
+
+  // The weight init draws from a stream derived from the job seed, apart
+  // from the episode/action stream.
+  for (Candidate& c : block) {
+    try {
+      util::Rng init_rng(c.job->seed ^ 0xabcdef1234567890ULL);
+      c.agent = std::make_unique<PolicyAgent>(*c.job->program, *c.job->spec,
+                                              domain_->num_actions(),
+                                              domain_->catalog(), init_rng);
+      c.agent->net().sync_inference_cache();
+      c.optimizer = std::make_unique<nn::Adam>(config_.learning_rate);
+    } catch (const std::exception& e) {
+      c.fail(e);
+    }
+  }
+
+  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+    bool any_live = false;
+    for (const Candidate& c : block) any_live |= !c.failed;
+    if (!any_live) break;
+
+    const double progress =
+        config_.epochs > 1 ? static_cast<double>(epoch) /
+                                 static_cast<double>(config_.epochs - 1)
+                           : 1.0;
+    const double entropy_weight =
+        config_.entropy_start +
+        (config_.entropy_end - config_.entropy_start) * progress;
+
+    // Episode starts: per-job environment choice and offset, drawn from
+    // the job's own stream (choice, then reset).
+    for (Candidate& c : block) {
+      if (c.failed) continue;
+      try {
+        c.episode = domain_->start_train_episode(config_.fidelity, c.rng);
+        c.obs = c.episode->reset();
+        c.agent->net().begin_batch_capture(domain_->episode_length());
+        c.step_probs.clear();
+        c.step_values.clear();
+        c.actions.clear();
+        c.rewards.clear();
+        c.episode_done = false;
+      } catch (const std::exception& e) {
+        c.fail(e);
       }
     }
-    if (config_.evaluate_checkpoints && result.test_scores.empty()) {
-      // Budget smaller than the checkpoint interval: evaluate once at end.
-      const double score = checkpoint_eval(agent);
-      result.test_epochs.push_back(static_cast<double>(config_.epochs));
-      result.test_scores.push_back(score);
+
+    // Lockstep rollout: one env step per live job per sweep, until every
+    // episode in the block has finished.
+    bool active = true;
+    while (active) {
+      active = false;
+      for (Candidate& c : block) {
+        if (c.failed || c.episode_done) continue;
+        try {
+          step_candidate(c);
+        } catch (const std::exception& e) {
+          c.fail(e);
+          continue;
+        }
+        active |= !c.episode_done;
+      }
     }
-    result.final_score = config_.evaluate_checkpoints
-                             ? util::tail_mean(result.test_scores, 10)
-                             : util::tail_mean(result.train_rewards, 10);
-    if (config_.emulation_final_eval) {
-      result.emulation_score =
-          evaluate_agent(agent, *domain_, env::Fidelity::kEmulation,
-                         seed_ ^ 0xe111u);
+
+    // Fused per-job update over the full episode.
+    for (Candidate& c : block) {
+      if (c.failed) continue;
+      try {
+        update_candidate(c, entropy_weight);
+      } catch (const std::exception& e) {
+        c.fail(e);
+      }
     }
-  } catch (const std::exception& e) {
-    result.failed = true;
-    result.error = e.what();
-    result.final_score = -1e9;
+
+    if (config_.evaluate_checkpoints &&
+        (epoch + 1) % config_.test_interval == 0) {
+      for (Candidate& c : block) {
+        if (c.failed) continue;
+        try {
+          checkpoint_eval(c, static_cast<double>(epoch + 1));
+        } catch (const std::exception& e) {
+          c.fail(e);
+        }
+      }
+    }
   }
-  return result;
+
+  for (Candidate& c : block) {
+    if (c.failed) continue;
+    try {
+      finalize_candidate(c);
+    } catch (const std::exception& e) {
+      c.fail(e);
+    }
+  }
+
+  // DSL execution volume, aggregated once per block rather than per step
+  // (the counters are atomics; per-step adds would serialize the pool).
+  if (metrics_ != nullptr) {
+    std::uint64_t runs = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t cost_units = 0;
+    for (const Candidate& c : block) {
+      if (c.agent == nullptr) continue;
+      runs += c.agent->exec_runs();
+      instructions += c.agent->exec_stats().instructions;
+      cost_units += c.agent->exec_stats().cost_units;
+    }
+    metrics_->counter("dsl.exec.runs").add(runs);
+    metrics_->counter("dsl.exec.instructions").add(instructions);
+    metrics_->counter("dsl.exec.cost_units").add(cost_units);
+    const nn::KernelCounters& kernels_after = nn::thread_kernel_counters();
+    metrics_->counter("nn.matmul.calls")
+        .add(kernels_after.matmul_calls - kernels_before.matmul_calls);
+    metrics_->counter("nn.matmul.flops")
+        .add(kernels_after.matmul_flops - kernels_before.matmul_flops);
+  }
 }
 
 }  // namespace nada::rl

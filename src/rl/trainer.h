@@ -4,11 +4,24 @@
 // advantage drives the policy gradient (with entropy regularization), and
 // model checkpoints are periodically evaluated on the held-out eval split.
 //
+// One engine trains everything — the funnel's short probes, the baseline,
+// and full multi-seed training. It trains a *block* of jobs in lockstep:
+// every job keeps its own RNG stream, episode, and trajectory; the rollout
+// captures each step's activations row by row into the network's batch
+// caches (nn::ActorCriticNet::forward_capture), so the per-epoch update is
+// one fused backward_batch over the whole episode with no second forward
+// pass, and the state program runs once per step. The thread pool
+// schedules blocks. Jobs never share a random draw and the batched kernels
+// keep the per-element accumulation order fixed (nn/mat.h), so a job's
+// result is the same bits at any block size, thread count, or block
+// neighbours — pinned against golden outputs by tests/batch_probe_test.cpp
+// (ABR) and tests/cc_funnel_test.cpp (CC).
+//
 // The trainer is domain-generic: ABR and congestion control train through
 // the same loop, differing only in the env::TaskDomain they are given.
-// ABR-shaped convenience overloads (dataset + video) construct an
-// env::AbrDomain internally and are bit-identical to the historical
-// ABR-only implementation.
+// Episodes must span exactly TaskDomain::episode_length() steps, which
+// sizes the capture caches up front. ABR-shaped convenience overloads
+// (dataset + video) construct an env::AbrDomain internally.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +34,10 @@
 #include "env/abr_domain.h"
 #include "env/domain.h"
 #include "nn/arch.h"
-#include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "rl/agent.h"
 #include "trace/generator.h"
+#include "util/thread_pool.h"
 #include "video/video.h"
 
 namespace nada::rl {
@@ -98,21 +112,6 @@ struct TrainResult {
                                     env::Fidelity fidelity,
                                     std::uint64_t eval_seed);
 
-/// ABR convenience: greedy rollout over every trace in `test_traces`.
-[[nodiscard]] double evaluate_agent(PolicyAgent& agent,
-                                    std::span<const trace::Trace> test_traces,
-                                    const video::Video& video,
-                                    env::Fidelity fidelity,
-                                    std::uint64_t eval_seed);
-
-/// ABR convenience over the subset `test_traces[i]` for i in `indices`.
-[[nodiscard]] double evaluate_agent(PolicyAgent& agent,
-                                    std::span<const trace::Trace> test_traces,
-                                    std::span<const std::size_t> indices,
-                                    const video::Video& video,
-                                    env::Fidelity fidelity,
-                                    std::uint64_t eval_seed);
-
 /// Deterministic evaluation subset: `cap` indices strided evenly across
 /// [0, num_traces) (all indices when cap is 0 or >= num_traces). A strided
 /// pick keeps the subset representative of the whole split — evaluating a
@@ -121,63 +120,69 @@ struct TrainResult {
 [[nodiscard]] std::vector<std::size_t> eval_trace_indices(
     std::size_t num_traces, std::size_t cap);
 
-// ---- A2C loss arithmetic, shared by Trainer and BatchProbeTrainer -----------
-// One definition of the per-epoch math keeps the serial and batched probe
-// paths structurally incapable of drifting apart (their bit-identity is the
-// batched engine's core guarantee).
-
-/// TrainConfig::reward_scale with its 0 = "domain hint" default resolved.
-[[nodiscard]] double resolve_reward_scale(const TrainConfig& config,
-                                          const env::TaskDomain& domain);
-
-/// Discounted returns over scaled rewards, newest-to-oldest accumulation.
-[[nodiscard]] std::vector<double> discounted_returns(
-    std::span<const double> rewards, double reward_scale, double gamma);
-
-/// In-place advantage standardization and clipping per TrainConfig.
-void condition_advantages(const TrainConfig& config,
-                          std::vector<double>& advantages);
-
-/// One step's policy gradient (entropy-regularized, written into `dlogits`)
-/// and Huber critic gradient (returned).
-double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
-                         std::size_t action, double advantage,
-                         double step_return, double value,
-                         double entropy_weight, double scale,
-                         std::span<double> dlogits);
+/// One training run: a design (state program + architecture) and the seed
+/// that fixes its weight init, episode draws, and action sampling.
+struct TrainJob {
+  const dsl::StateProgram* program = nullptr;
+  const nn::ArchSpec* spec = nullptr;
+  std::uint64_t seed = 0;
+};
 
 class Trainer {
  public:
-  /// Domain-generic trainer; `domain` must outlive the trainer.
+  /// Domain-generic; `domain` must outlive the trainer. `block_size` jobs
+  /// train in lockstep per scheduled task (>= 1). `metrics` is an optional
+  /// profiling registry (pure readout) that must outlive the trainer:
+  /// per-block wall clock in rl.probe_block.seconds, volumes in
+  /// rl.probe_blocks / rl.probe_block_candidates, DSL execution volume in
+  /// dsl.exec.*, and batched mat-mat kernel volume in nn.matmul.calls /
+  /// nn.matmul.flops plus the active flavor in the nn.kernel.flavor gauge
+  /// (0=scalar, 1=avx2, 2=fma). The funnel passes it for the probe stage
+  /// only, so those series describe probe training.
   Trainer(const env::TaskDomain& domain, TrainConfig config,
-          std::uint64_t seed);
+          std::size_t block_size = 1,
+          obs::MetricsRegistry* metrics = nullptr);
 
   /// ABR convenience: wraps (dataset, video) in an owned env::AbrDomain.
   Trainer(const trace::Dataset& dataset, const video::Video& video,
-          TrainConfig config, std::uint64_t seed);
+          TrainConfig config, std::size_t block_size = 1,
+          obs::MetricsRegistry* metrics = nullptr);
 
-  /// Trains one candidate design (state program + architecture) from
-  /// scratch. Failures (runtime errors in the state program, invalid
-  /// architectures, non-finite values) are captured in the result rather
-  /// than thrown: NADA treats them as filtered-out designs.
+  /// Trains every job from scratch; blocks are scheduled on `pool` when
+  /// non-null. Results depend only on each job's (design, seed): block
+  /// size, scheduling, and the other jobs in a block never change a bit.
+  /// Failures (runtime errors in the state program, invalid architectures,
+  /// non-finite values) are captured in that job's result rather than
+  /// thrown: NADA treats them as filtered-out designs.
+  [[nodiscard]] std::vector<TrainResult> train(std::span<const TrainJob> jobs,
+                                               util::ThreadPool* pool =
+                                                   nullptr) const;
+
+  /// One design under one seed.
   [[nodiscard]] TrainResult train(const dsl::StateProgram& program,
-                                  const nn::ArchSpec& spec);
+                                  const nn::ArchSpec& spec,
+                                  std::uint64_t seed) const;
 
  private:
+  struct Candidate;
+
   /// All public constructors funnel here; a non-owning aliasing pointer
   /// carries borrowed domains.
   Trainer(std::shared_ptr<const env::TaskDomain> domain, TrainConfig config,
-          std::uint64_t seed);
+          std::size_t block_size, obs::MetricsRegistry* metrics);
 
-  void run_epoch(PolicyAgent& agent, nn::Adam& optimizer,
-                 double entropy_weight, TrainResult& result);
-  [[nodiscard]] double checkpoint_eval(PolicyAgent& agent) const;
+  void train_block(std::span<const TrainJob> jobs,
+                   std::span<TrainResult> results) const;
+  void step_candidate(Candidate& c) const;
+  void update_candidate(Candidate& c, double entropy_weight) const;
+  void checkpoint_eval(Candidate& c, double epoch) const;
+  void finalize_candidate(Candidate& c) const;
 
   std::shared_ptr<const env::TaskDomain> owned_domain_;
   const env::TaskDomain* domain_;
   TrainConfig config_;
-  std::uint64_t seed_;
-  util::Rng rng_;
+  std::size_t block_size_;
+  obs::MetricsRegistry* metrics_;
   std::vector<std::size_t> eval_indices_;
 };
 

@@ -8,11 +8,10 @@
 // until the final result: CLIs print funnel lines as they happen, tests
 // assert stage coverage, services will export counters.
 //
-// Threading: candidate events are serialized (the job guards dispatch with
-// a mutex), but when the probe stage runs serial per-candidate trainers on
-// a thread pool (SearchConfig::probe_batch == false) they may arrive on
-// pool threads. Stage start/finish events always fire on the stepping
-// thread.
+// Threading: every event fires on the thread that steps the job — pool
+// workers only train and pre-check, and their results are dispatched from
+// the stepping thread in stream order — and dispatch is serialized by a
+// mutex besides.
 #pragma once
 
 #include <cstddef>

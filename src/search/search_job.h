@@ -79,7 +79,7 @@ namespace nada::search {
 /// normalization check parameters, the job seed, the identity of the
 /// domain's data, and the simulator-semantics revision — feeds the digest;
 /// selection-only knobs (num_candidates, full_train_top) and execution
-/// knobs (probe_batch, probe_block) do not.
+/// knobs (probe_block, window_size) do not.
 [[nodiscard]] store::StoreScope store_scope(const env::TaskDomain& domain,
                                             const SearchConfig& config,
                                             std::uint64_t seed);

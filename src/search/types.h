@@ -36,15 +36,10 @@ struct SearchConfig {
   nn::ArchSpec baseline_arch = nn::ArchSpec::pensieve();
   double normalization_threshold = filter::kNormalizationThreshold;
   std::size_t normalization_fuzz_runs = 16;
-  /// Run the early-probe stage through rl::BatchProbeTrainer: candidates
-  /// train in lockstep blocks with fused matrix-matrix updates instead of
-  /// one serial Trainer each. Bit-identical per-candidate reward curves
-  /// and store records either way (per-candidate seeds are fingerprint-
-  /// derived and unaffected), so this is an execution knob, not a scope
-  /// knob: it does not feed store_scope() and journals are shared freely
-  /// between batched and serial runs of the same code revision.
-  bool probe_batch = true;
-  /// Candidates per lockstep block when probe_batch is on.
+  /// Candidates the early-probe stage trains in lockstep per rl::Trainer
+  /// block. An execution knob, not a scope knob: a candidate's result does
+  /// not depend on its block, so it does not feed store_scope() and
+  /// journals are shared freely across block sizes.
   std::size_t probe_block = 4;
   /// Rolling-window streaming. 0 (the default) materializes the whole
   /// candidate stream up front — the historical batch mode, byte-for-byte.
@@ -56,7 +51,7 @@ struct SearchConfig {
   /// running selection keeps only the top full_train_top probes across
   /// windows, so SearchResult::outcomes holds just the retained candidates
   /// (see SearchResult). Rankings, journal records, and store keys are
-  /// identical to batch mode for the same seeds; like probe_batch this is
+  /// identical to batch mode for the same seeds; like probe_block this is
   /// an execution knob and never feeds store_scope().
   std::size_t window_size = 0;
 

@@ -1,7 +1,9 @@
-// The batched probe engine's headline guarantee: given the same seeds,
-// BatchProbeTrainer is BIT-IDENTICAL to a fresh rl::Trainer per candidate —
-// reward curves, checkpoint scores, failure captures — and the pipeline's
-// batched probe stage journals exactly the records the serial stage would.
+// The training engine's headline guarantee: a job's TrainResult depends
+// only on its (design, seed) — never on the lockstep block size, the pool,
+// or the other jobs sharing its block — and matches, bit for bit, the
+// golden results in tests/golden/train_results.txt, recorded from the
+// single-sample trainer this engine replaced. The pipeline's probe stage
+// journals the same records at any block size.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,9 +12,9 @@
 #include <utility>
 
 #include "core/pipeline.h"
+#include "golden.h"
 #include "dsl/state_program.h"
 #include "gen/state_gen.h"
-#include "rl/batch_probe.h"
 #include "rl/trainer.h"
 #include "store/candidate_store.h"
 #include "trace/generator.h"
@@ -48,42 +50,35 @@ std::vector<dsl::StateProgram> candidate_programs() {
   return programs;
 }
 
-std::vector<ProbeJob> make_jobs(const std::vector<dsl::StateProgram>& programs,
+std::vector<TrainJob> make_jobs(const std::vector<dsl::StateProgram>& programs,
                                 const nn::ArchSpec& arch, std::size_t count) {
-  std::vector<ProbeJob> jobs;
+  std::vector<TrainJob> jobs;
   jobs.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    jobs.push_back(ProbeJob{&programs[i % programs.size()], &arch,
+    jobs.push_back(TrainJob{&programs[i % programs.size()], &arch,
                             0xb10bULL * 131 + i * 0x9e3779b9ULL});
   }
   return jobs;
 }
 
-std::vector<TrainResult> run_serial(const trace::Dataset& dataset,
-                                    const video::Video& video,
-                                    const TrainConfig& config,
-                                    const std::vector<ProbeJob>& jobs) {
+/// Trains `jobs` one per block, in ragged blocks of 3, and all in one
+/// block, and expects each run to reproduce the golden `section`.
+std::vector<TrainResult> expect_golden_at_every_block_size(
+    const std::string& section, const trace::Dataset& dataset,
+    const video::Video& video, const TrainConfig& config,
+    const std::vector<TrainJob>& jobs) {
   std::vector<TrainResult> results;
-  results.reserve(jobs.size());
-  for (const auto& job : jobs) {
-    Trainer trainer(dataset, video, config, job.seed);
-    results.push_back(trainer.train(*job.program, *job.spec));
+  for (const std::size_t block : {std::size_t{1}, std::size_t{3}, jobs.size()}) {
+    SCOPED_TRACE("block size " + std::to_string(block));
+    const Trainer trainer(dataset, video, config, block);
+    results = trainer.train(jobs);
+    golden::expect_golden("train_results.txt", section,
+                          golden::format_train_results(results));
   }
   return results;
 }
 
-void expect_identical(const TrainResult& serial, const TrainResult& batched) {
-  EXPECT_EQ(serial.failed, batched.failed);
-  EXPECT_EQ(serial.error, batched.error);
-  // operator== on vector<double> is exact: any bit drift fails.
-  EXPECT_EQ(serial.train_rewards, batched.train_rewards);
-  EXPECT_EQ(serial.test_epochs, batched.test_epochs);
-  EXPECT_EQ(serial.test_scores, batched.test_scores);
-  EXPECT_EQ(serial.final_score, batched.final_score);
-  EXPECT_EQ(serial.emulation_score, batched.emulation_score);
-}
-
-TEST(BatchProbeTrainer, BitIdenticalToSerialTrainer) {
+TEST(Trainer, ProbeBudgetMatchesGolden) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 5);
   const auto programs = candidate_programs();
@@ -91,24 +86,12 @@ TEST(BatchProbeTrainer, BitIdenticalToSerialTrainer) {
   TrainConfig config;
   config.epochs = 12;
   config.evaluate_checkpoints = false;  // the pipeline's probe setting
-  const auto jobs = make_jobs(programs, arch, 7);
-
-  const auto serial = run_serial(dataset, video, config, jobs);
-  // Block size 3 forces blocks that straddle different programs and leave a
-  // ragged tail.
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 3});
-  const auto batch = batched.train(jobs);
-
-  ASSERT_EQ(batch.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE("candidate " + std::to_string(i));
-    ASSERT_FALSE(serial[i].failed) << serial[i].error;
-    expect_identical(serial[i], batch[i]);
-  }
+  const auto results = expect_golden_at_every_block_size(
+      "abr-probe", dataset, video, config, make_jobs(programs, arch, 7));
+  for (const auto& r : results) EXPECT_FALSE(r.failed) << r.error;
 }
 
-TEST(BatchProbeTrainer, BitIdenticalWithCheckpointEvaluation) {
+TEST(Trainer, CheckpointEvaluationMatchesGolden) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 6);
   const auto programs = candidate_programs();
@@ -117,22 +100,14 @@ TEST(BatchProbeTrainer, BitIdenticalWithCheckpointEvaluation) {
   config.epochs = 10;
   config.test_interval = 5;
   config.max_eval_traces = 2;  // exercises the strided eval subset too
-  const auto jobs = make_jobs(programs, arch, 4);
-
-  const auto serial = run_serial(dataset, video, config, jobs);
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 4});
-  const auto batch = batched.train(jobs);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE("candidate " + std::to_string(i));
-    ASSERT_EQ(serial[i].test_scores.size(), 2u);
-    expect_identical(serial[i], batch[i]);
-  }
+  const auto results = expect_golden_at_every_block_size(
+      "abr-checkpoints", dataset, video, config, make_jobs(programs, arch, 4));
+  for (const auto& r : results) EXPECT_EQ(r.test_scores.size(), 2u);
 }
 
-TEST(BatchProbeTrainer, BitIdenticalUnderEmulationFidelity) {
-  // Emulation sessions draw jitter from the candidate's RNG inside every
-  // step, so this pins the interleaving of action draws and session draws.
+TEST(Trainer, EmulationFidelityMatchesGolden) {
+  // Emulation sessions draw jitter from the job's RNG inside every step,
+  // so this pins the interleaving of action draws and session draws.
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 7);
   const auto programs = candidate_programs();
@@ -141,19 +116,12 @@ TEST(BatchProbeTrainer, BitIdenticalUnderEmulationFidelity) {
   config.epochs = 6;
   config.fidelity = env::Fidelity::kEmulation;
   config.evaluate_checkpoints = false;
-  const auto jobs = make_jobs(programs, arch, 5);
-
-  const auto serial = run_serial(dataset, video, config, jobs);
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 2});
-  const auto batch = batched.train(jobs);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE("candidate " + std::to_string(i));
-    expect_identical(serial[i], batch[i]);
-  }
+  (void)expect_golden_at_every_block_size("abr-emulation", dataset, video,
+                                          config,
+                                          make_jobs(programs, arch, 5));
 }
 
-TEST(BatchProbeTrainer, FailedCandidateIsolatedFromBlock) {
+TEST(Trainer, FailedJobIsolatedFromBlock) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 8);
   const auto programs = candidate_programs();
@@ -164,24 +132,17 @@ TEST(BatchProbeTrainer, FailedCandidateIsolatedFromBlock) {
   config.epochs = 8;
   config.evaluate_checkpoints = false;
 
-  // Fragile candidate in the middle of one block.
-  std::vector<ProbeJob> jobs = make_jobs(programs, arch, 4);
-  jobs.insert(jobs.begin() + 1, ProbeJob{&fragile, &arch, 0xdeadULL});
-
-  const auto serial = run_serial(dataset, video, config, jobs);
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 5});
-  const auto batch = batched.train(jobs);
-
-  ASSERT_TRUE(serial[1].failed);
-  EXPECT_TRUE(batch[1].failed);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE("candidate " + std::to_string(i));
-    expect_identical(serial[i], batch[i]);
-  }
+  // Fragile job in the middle of a block.
+  std::vector<TrainJob> jobs = make_jobs(programs, arch, 4);
+  jobs.insert(jobs.begin() + 1, TrainJob{&fragile, &arch, 0xdeadULL});
+  const auto results = expect_golden_at_every_block_size(
+      "abr-failing", dataset, video, config, jobs);
+  EXPECT_TRUE(results[1].failed);
+  EXPECT_FALSE(results[0].failed);
+  EXPECT_FALSE(results[2].failed);
 }
 
-TEST(BatchProbeTrainer, PoolScheduledBlocksMatchSerial) {
+TEST(Trainer, PoolScheduledBlocksMatchGolden) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 9);
   const auto programs = candidate_programs();
@@ -190,33 +151,89 @@ TEST(BatchProbeTrainer, PoolScheduledBlocksMatchSerial) {
   config.epochs = 8;
   config.evaluate_checkpoints = false;
   const auto jobs = make_jobs(programs, arch, 9);
-
-  const auto serial = run_serial(dataset, video, config, jobs);
   util::ThreadPool pool(3);
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 2});
-  const auto batch = batched.train(jobs, &pool);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE("candidate " + std::to_string(i));
-    expect_identical(serial[i], batch[i]);
+  for (const std::size_t block : {1u, 2u}) {
+    SCOPED_TRACE("block size " + std::to_string(block));
+    const Trainer trainer(dataset, video, config, block);
+    golden::expect_golden(
+        "train_results.txt", "abr-pool",
+        golden::format_train_results(trainer.train(jobs, &pool)));
   }
 }
 
-TEST(BatchProbeTrainer, RejectsDegenerateConfig) {
+TEST(Trainer, ArchVariantsMatchGolden) {
+  // Every temporal unit and the shared trunk, each under a budget below
+  // the checkpoint interval (one final evaluation) plus the emulation
+  // final evaluation.
+  const auto dataset = tiny_dataset();
+  const auto video = video::make_test_video(video::pensieve_ladder(), 12);
+  const auto programs = candidate_programs();
+  std::vector<nn::ArchSpec> archs(5, tiny_arch());
+  archs[1].temporal = nn::TemporalUnit::kRnn;
+  archs[1].rnn_hidden = 6;
+  archs[2].temporal = nn::TemporalUnit::kLstm;
+  archs[2].rnn_hidden = 5;
+  archs[3].shared_trunk = true;
+  archs[3].merge_layers = 2;
+  archs[3].activation = nn::Activation::kLeakyRelu;
+  archs[4].temporal = nn::TemporalUnit::kDense;
+  archs[4].activation = nn::Activation::kTanh;
+  TrainConfig config;
+  config.epochs = 5;
+  config.test_interval = 10;
+  config.max_eval_traces = 2;
+  config.emulation_final_eval = true;
+  std::vector<TrainJob> jobs;
+  for (std::size_t i = 0; i < 2 * archs.size(); ++i) {
+    jobs.push_back(TrainJob{&programs[i % programs.size()],
+                            &archs[i % archs.size()], 0xa4c0ULL + 7 * i});
+  }
+  const auto results = expect_golden_at_every_block_size(
+      "abr-archs", dataset, video, config, jobs);
+  for (const auto& r : results) {
+    EXPECT_FALSE(r.failed) << r.error;
+    EXPECT_EQ(r.test_scores.size(), 1u);
+  }
+}
+
+TEST(Trainer, SingleJobOverloadMatchesBlockedRun) {
+  const auto dataset = tiny_dataset();
+  const auto video = video::make_test_video(video::pensieve_ladder(), 5);
+  const auto programs = candidate_programs();
+  const auto arch = tiny_arch();
+  TrainConfig config;
+  config.epochs = 4;
+  config.evaluate_checkpoints = false;
+  const auto jobs = make_jobs(programs, arch, 3);
+  const Trainer trainer(dataset, video, config, 3);
+  const auto blocked = trainer.train(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(golden::format_train_result(trainer.train(
+                  *jobs[i].program, *jobs[i].spec, jobs[i].seed)),
+              golden::format_train_result(blocked[i]));
+  }
+}
+
+TEST(Trainer, RejectsDegenerateConfig) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 10);
   TrainConfig zero_epochs;
   zero_epochs.epochs = 0;
-  EXPECT_THROW(
-      BatchProbeTrainer(dataset, video, BatchProbeConfig{zero_epochs, 4}),
-      std::invalid_argument);
-  const auto programs = candidate_programs();
-  const auto arch = tiny_arch();
+  EXPECT_THROW(Trainer(dataset, video, zero_epochs, 4),
+               std::invalid_argument);
+  TrainConfig zero_interval;
+  zero_interval.test_interval = 0;
+  EXPECT_THROW(Trainer(dataset, video, zero_interval, 4),
+               std::invalid_argument);
   TrainConfig config;
   config.epochs = 2;
-  const BatchProbeTrainer trainer(dataset, video,
-                                  BatchProbeConfig{config, 4});
-  std::vector<ProbeJob> null_job{ProbeJob{nullptr, &arch, 1}};
+  // Block size 0 is rejected like search::validate_config rejects
+  // probe_block == 0, not silently promoted to 1.
+  EXPECT_THROW(Trainer(dataset, video, config, 0), std::invalid_argument);
+  const auto arch = tiny_arch();
+  const Trainer trainer(dataset, video, config, 4);
+  std::vector<TrainJob> null_job{TrainJob{nullptr, &arch, 1}};
   EXPECT_THROW((void)trainer.train(null_job), std::invalid_argument);
 }
 
@@ -239,7 +256,7 @@ class TempStoreDir {
   std::string path_;
 };
 
-TEST(PipelineProbeBatch, BatchedAndSerialProduceIdenticalOutcomesAndJournals) {
+TEST(PipelineProbeBlock, BlockSizeLeavesOutcomesAndJournalsUnchanged) {
   const auto dataset = tiny_dataset(21);
   const auto video = video::make_test_video(video::pensieve_ladder(), 5);
   util::ThreadPool pool(2);
@@ -251,12 +268,11 @@ TEST(PipelineProbeBatch, BatchedAndSerialProduceIdenticalOutcomesAndJournals) {
   config.seeds = 2;
   config.train.epochs = 8;
   config.train.test_interval = 4;
-  config.probe_block = 4;
 
   TempStoreDir dir;
-  auto run = [&](bool batched, const std::string& journal) {
+  auto run = [&](std::size_t probe_block, const std::string& journal) {
     core::PipelineConfig c = config;
-    c.probe_batch = batched;
+    c.probe_block = probe_block;
     core::Pipeline pipeline(dataset, video, c, 424242, &pool);
     store::CandidateStore store(dir.file(journal), pipeline.store_scope());
     pipeline.attach_store(&store);
@@ -266,21 +282,22 @@ TEST(PipelineProbeBatch, BatchedAndSerialProduceIdenticalOutcomesAndJournals) {
     return std::make_pair(std::move(result), store.records());
   };
 
-  auto [serial_result, serial_records] = run(false, "serial.jsonl");
-  auto [batch_result, batch_records] = run(true, "batched.jsonl");
+  // One candidate per block against ragged blocks of four.
+  auto [one_result, one_records] = run(1, "block1.jsonl");
+  auto [four_result, four_records] = run(4, "block4.jsonl");
 
-  // The probe_batch knob must not move the store scope: both runs share the
-  // same funnel digest, so cached journals survive flipping it.
-  ASSERT_EQ(serial_result.n_total, batch_result.n_total);
-  EXPECT_EQ(serial_result.n_probes_run, batch_result.n_probes_run);
-  EXPECT_EQ(serial_result.n_early_stopped, batch_result.n_early_stopped);
-  EXPECT_EQ(serial_result.best_index, batch_result.best_index);
-  EXPECT_EQ(serial_result.best_score, batch_result.best_score);
-  ASSERT_EQ(serial_result.outcomes.size(), batch_result.outcomes.size());
-  for (std::size_t i = 0; i < serial_result.outcomes.size(); ++i) {
+  // The probe_block knob must not move a result: both runs share the same
+  // funnel digest, so cached journals survive changing it.
+  ASSERT_EQ(one_result.n_total, four_result.n_total);
+  EXPECT_EQ(one_result.n_probes_run, four_result.n_probes_run);
+  EXPECT_EQ(one_result.n_early_stopped, four_result.n_early_stopped);
+  EXPECT_EQ(one_result.best_index, four_result.best_index);
+  EXPECT_EQ(one_result.best_score, four_result.best_score);
+  ASSERT_EQ(one_result.outcomes.size(), four_result.outcomes.size());
+  for (std::size_t i = 0; i < one_result.outcomes.size(); ++i) {
     SCOPED_TRACE("candidate " + std::to_string(i));
-    const auto& a = serial_result.outcomes[i];
-    const auto& b = batch_result.outcomes[i];
+    const auto& a = one_result.outcomes[i];
+    const auto& b = four_result.outcomes[i];
     EXPECT_EQ(a.early_probed, b.early_probed);
     EXPECT_EQ(a.early_rewards, b.early_rewards);  // bitwise
     EXPECT_EQ(a.early_stopped, b.early_stopped);
@@ -288,20 +305,19 @@ TEST(PipelineProbeBatch, BatchedAndSerialProduceIdenticalOutcomesAndJournals) {
     EXPECT_EQ(a.test_score, b.test_score);
   }
 
-  // Journal contents match record for record (order may differ: the serial
-  // stage journals from pool workers as they finish).
+  // Journal contents match record for record.
   auto by_fp = [](const std::vector<store::OutcomeRecord>& records) {
     std::map<std::string, store::OutcomeRecord> index;
     for (const auto& r : records) index[r.fingerprint.hex()] = r;
     return index;
   };
-  const auto serial_map = by_fp(serial_records);
-  const auto batch_map = by_fp(batch_records);
-  ASSERT_EQ(serial_map.size(), batch_map.size());
-  for (const auto& [fp, a] : serial_map) {
+  const auto one_map = by_fp(one_records);
+  const auto four_map = by_fp(four_records);
+  ASSERT_EQ(one_map.size(), four_map.size());
+  for (const auto& [fp, a] : one_map) {
     SCOPED_TRACE("fingerprint " + fp);
-    const auto it = batch_map.find(fp);
-    ASSERT_NE(it, batch_map.end());
+    const auto it = four_map.find(fp);
+    ASSERT_NE(it, four_map.end());
     const auto& b = it->second;
     EXPECT_EQ(a.stage, b.stage);
     EXPECT_EQ(a.early_probed, b.early_probed);

@@ -1,5 +1,5 @@
 // The congestion-control domain through the shared funnel: deterministic
-// episodes, serial-vs-batched probe equivalence on CC candidates, and a
+// episodes, CC training against golden results at every block size, and a
 // tiny end-to-end CC pipeline with store caching/resume — the same
 // guarantees the ABR domain pins in batch_probe_test and store_test, now
 // exercised through env::TaskDomain.
@@ -16,7 +16,7 @@
 #include "cc/cc_state.h"
 #include "core/pipeline.h"
 #include "gen/state_gen.h"
-#include "rl/batch_probe.h"
+#include "golden.h"
 #include "rl/trainer.h"
 #include "store/candidate_store.h"
 #include "trace/generator.h"
@@ -123,25 +123,26 @@ TEST(CcDeterminism, DomainEpisodesReplayBitwise) {
   EXPECT_TRUE(ep_b->done());
 }
 
-// ---- serial vs batched probe equivalence ------------------------------------
+// ---- training against golden results ---------------------------------------
 
-void expect_bitwise_equal(const rl::TrainResult& a, const rl::TrainResult& b,
-                          const std::string& label) {
-  ASSERT_EQ(a.failed, b.failed) << label << ": " << a.error << " vs "
-                                << b.error;
-  ASSERT_EQ(a.train_rewards.size(), b.train_rewards.size()) << label;
-  for (std::size_t t = 0; t < a.train_rewards.size(); ++t) {
-    EXPECT_EQ(a.train_rewards[t], b.train_rewards[t])
-        << label << " epoch " << t;
+/// Trains `jobs` at block sizes 1, 3 and jobs.size() and expects each run
+/// to reproduce the golden `section`, recorded from the single-sample
+/// trainer the lockstep engine replaced.
+void expect_golden_at_every_block_size(const std::string& section,
+                                       const cc::CcDomain& domain,
+                                       const rl::TrainConfig& config,
+                                       const std::vector<rl::TrainJob>& jobs) {
+  for (const std::size_t block : {std::size_t{1}, std::size_t{3}, jobs.size()}) {
+    SCOPED_TRACE("block size " + std::to_string(block));
+    const rl::Trainer trainer(domain, config, block);
+    const auto results = trainer.train(jobs);
+    for (const auto& r : results) EXPECT_FALSE(r.failed) << r.error;
+    golden::expect_golden("train_results.txt", section,
+                          golden::format_train_results(results));
   }
-  ASSERT_EQ(a.test_scores.size(), b.test_scores.size()) << label;
-  for (std::size_t c = 0; c < a.test_scores.size(); ++c) {
-    EXPECT_EQ(a.test_scores[c], b.test_scores[c]) << label << " ckpt " << c;
-  }
-  EXPECT_EQ(a.final_score, b.final_score) << label;
 }
 
-TEST(CcBatchProbe, BitIdenticalToSerialTrainer) {
+TEST(CcTrainer, ProbeBudgetMatchesGolden) {
   const auto dataset = cc_dataset();
   const cc::CcDomain domain(dataset, tiny_cc_config());
   const auto programs = cc_probe_programs();
@@ -149,51 +150,27 @@ TEST(CcBatchProbe, BitIdenticalToSerialTrainer) {
   rl::TrainConfig config = tiny_train_config();
   config.evaluate_checkpoints = false;  // the funnel's probe shape
 
-  std::vector<rl::ProbeJob> jobs;
+  std::vector<rl::TrainJob> jobs;
   for (std::size_t i = 0; i < 5; ++i) {
-    jobs.push_back(rl::ProbeJob{&programs[i % programs.size()], &arch,
+    jobs.push_back(rl::TrainJob{&programs[i % programs.size()], &arch,
                                 0xcc00 + 31 * i});
   }
-
-  std::vector<rl::TrainResult> serial;
-  for (const auto& job : jobs) {
-    rl::Trainer trainer(domain, config, job.seed);
-    serial.push_back(trainer.train(*job.program, *job.spec));
-  }
-  const rl::BatchProbeTrainer batched(domain,
-                                      rl::BatchProbeConfig{config, 3});
-  const auto lockstep = batched.train(jobs);
-  ASSERT_EQ(lockstep.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_bitwise_equal(serial[i], lockstep[i],
-                         "cc job " + std::to_string(i));
-  }
+  expect_golden_at_every_block_size("cc-probe", domain, config, jobs);
 }
 
-TEST(CcBatchProbe, BitIdenticalWithCheckpointEvaluation) {
+TEST(CcTrainer, CheckpointEvaluationMatchesGolden) {
   const auto dataset = cc_dataset();
   const cc::CcDomain domain(dataset, tiny_cc_config());
   const auto programs = cc_probe_programs();
   const nn::ArchSpec arch = tiny_arch();
   const rl::TrainConfig config = tiny_train_config();
 
-  std::vector<rl::ProbeJob> jobs;
+  std::vector<rl::TrainJob> jobs;
   for (std::size_t i = 0; i < 4; ++i) {
-    jobs.push_back(rl::ProbeJob{&programs[i % programs.size()], &arch,
+    jobs.push_back(rl::TrainJob{&programs[i % programs.size()], &arch,
                                 0xcc10 + 17 * i});
   }
-  std::vector<rl::TrainResult> serial;
-  for (const auto& job : jobs) {
-    rl::Trainer trainer(domain, config, job.seed);
-    serial.push_back(trainer.train(*job.program, *job.spec));
-  }
-  const rl::BatchProbeTrainer batched(domain,
-                                      rl::BatchProbeConfig{config, 2});
-  const auto lockstep = batched.train(jobs);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_bitwise_equal(serial[i], lockstep[i],
-                         "cc ckpt job " + std::to_string(i));
-  }
+  expect_golden_at_every_block_size("cc-checkpoints", domain, config, jobs);
 }
 
 // ---- end-to-end CC pipeline -------------------------------------------------

@@ -279,8 +279,8 @@ TEST(AbrEnv, ConstructionConsumesNoRandomness) {
   // The seed stream must be a pure function of the episodes actually run:
   // building an env (without resetting it) leaves the RNG untouched, so a
   // caller that constructs one env per episode and a caller that reuses one
-  // env see identical draws. This is the invariant the batched/serial
-  // probe equivalence rests on.
+  // env see identical draws. This is the invariant the trainer's
+  // block-size independence rests on.
   const auto tr = constant_trace(3.0);
   const auto vid = test_video();
   util::Rng rng_a(77);

@@ -9,6 +9,7 @@
 #include <functional>
 #include <string>
 
+#include "golden.h"
 #include "nn/arch.h"
 #include "nn/classifier.h"
 #include "nn/layers.h"
@@ -108,22 +109,37 @@ TEST(VecOps, ResampleFromSingleValue) {
 
 // ---- gradient checks ----------------------------------------------------------
 
-// Scalar loss L = sum(w_out .* layer(x)); checks dL/dx and dL/dparams
-// against central finite differences.
+/// One-row capture: the layer's training forward for a single sample.
+Vec capture_one(Layer& layer, const Vec& x) {
+  layer.begin_capture(1);
+  return layer.forward_capture(x, 0);
+}
+
+/// backward_batch over a one-row capture; returns the input gradient.
+Vec backward_one(Layer& layer, const Vec& dy) {
+  Mat dy_row(1, dy.size());
+  std::copy(dy.begin(), dy.end(), dy_row.row(0).begin());
+  Mat dx;
+  layer.backward_batch(dy_row, &dx);
+  return Vec(dx.row(0).begin(), dx.row(0).end());
+}
+
+// Scalar loss L = sum(w_out .* layer(x)), evaluated on the capture path;
+// checks the analytic dL/dx and dL/dparams of backward_batch against
+// central finite differences.
 void check_layer_gradients(Layer& layer, const Vec& x, double tol = 1e-5) {
   util::Rng rng(777);
   Vec w_out(layer.out_dim());
   for (double& w : w_out) w = rng.uniform(-1.0, 1.0);
 
   auto loss = [&](const Vec& input) {
-    const Vec y = layer.forward(input);
-    return dot(y, w_out);
+    return dot(capture_one(layer, input), w_out);
   };
 
   // Analytic gradients.
   layer.zero_grad();
-  (void)layer.forward(x);
-  const Vec dx = layer.backward(w_out);
+  (void)capture_one(layer, x);
+  const Vec dx = backward_one(layer, w_out);
 
   // Input gradient check.
   const double eps = 1e-6;
@@ -137,10 +153,10 @@ void check_layer_gradients(Layer& layer, const Vec& x, double tol = 1e-5) {
   }
 
   // Parameter gradient check. Re-run analytic backward because the finite
-  // difference probes disturbed the forward cache.
+  // difference probes overwrote the capture cache.
   layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(w_out);
+  (void)capture_one(layer, x);
+  (void)backward_one(layer, w_out);
   for (auto& p : layer.params()) {
     auto& values = p.value->data();
     auto& grads = p.grad->data();
@@ -222,21 +238,6 @@ TEST(GradCheck, Lstm) {
 
 // ---- batched kernels and batched layer passes --------------------------------
 
-TEST(Mat, MatmulNtMatchesMatvecPerRow) {
-  util::Rng rng(41);
-  Mat a(3, 5);
-  Mat b(4, 5);
-  for (double& v : a.data()) v = rng.uniform(-1.0, 1.0);
-  for (double& v : b.data()) v = rng.uniform(-1.0, 1.0);
-  const Mat c = matmul_nt(a, b);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const Vec expect = b.matvec(a.row(i));
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      EXPECT_EQ(c(i, j), expect[j]);  // bitwise
-    }
-  }
-}
-
 TEST(Mat, MatmulMatchesMatvecTransposedPerRow) {
   util::Rng rng(42);
   Mat a(3, 4);
@@ -270,7 +271,6 @@ TEST(Mat, AddMatmulTnMatchesSequentialAddOuter) {
 TEST(Mat, BatchedKernelShapeMismatchThrows) {
   Mat a(2, 3);
   Mat b(2, 4);
-  EXPECT_THROW((void)matmul_nt(a, b), std::invalid_argument);
   EXPECT_THROW((void)matmul(a, b), std::invalid_argument);
   Mat c(3, 3);
   EXPECT_THROW(add_matmul_tn(c, a, b), std::invalid_argument);
@@ -291,8 +291,6 @@ TEST(Mat, BatchedKernelMismatchMessages) {
   Mat a(2, 3);
   Mat b(2, 4);
   Mat c(3, 3);
-  EXPECT_EQ(message_of([&] { (void)matmul_nt(a, b); }),
-            "matmul_nt: inner dimension mismatch");
   EXPECT_EQ(message_of([&] { (void)matmul(a, b); }),
             "matmul: inner dimension mismatch");
   EXPECT_EQ(message_of([&] { add_matmul_tn(c, a, b); }),
@@ -311,37 +309,12 @@ Mat random_mat(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   return m;
 }
 
-// Tail-vs-tiled pins: the kernels tile four rows (matmul, matmul_nt) or
+// Tail-vs-tiled pins: the kernels tile four rows (matmul) or
 // four samples (add_matmul_tn) per sweep and fall back to a remainder loop
 // for the rest. A row's result must not depend on which path computed it,
 // so every row count around the tile boundary is compared bitwise against
-// the serial single-sample reference — and against the same rows computed
-// inside a full tile via a padded operand.
-TEST(Mat, MatmulNtTailRowsMatchTiledBitwise) {
-  const Mat b = random_mat(5, 3, 90);
-  for (const std::size_t rows : {1u, 2u, 3u, 5u, 6u, 7u, 9u}) {
-    const Mat a = random_mat(rows, 3, 100 + rows);
-    const Mat c = matmul_nt(a, b);
-    // Serial reference: row i is exactly b.matvec(row i of a).
-    for (std::size_t i = 0; i < rows; ++i) {
-      const Vec expect = b.matvec(a.row(i));
-      for (std::size_t j = 0; j < b.rows(); ++j) {
-        EXPECT_EQ(c(i, j), expect[j]) << "rows=" << rows << " i=" << i;
-      }
-    }
-    // Padded operand: the same leading rows now run through the 4-row tile.
-    const std::size_t padded_rows = ((rows + 3) / 4) * 4;
-    Mat padded(padded_rows, 3);
-    std::copy(a.data().begin(), a.data().end(), padded.data().begin());
-    const Mat c_padded = matmul_nt(padded, b);
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < b.rows(); ++j) {
-        EXPECT_EQ(c(i, j), c_padded(i, j)) << "rows=" << rows << " i=" << i;
-      }
-    }
-  }
-}
-
+// the one-row Mat reference — and against the same rows computed inside a
+// full tile via a padded operand.
 TEST(Mat, MatmulTailRowsMatchTiledBitwise) {
   const Mat b = random_mat(3, 4, 91);
   for (const std::size_t rows : {1u, 2u, 3u, 5u, 6u, 7u, 9u}) {
@@ -385,23 +358,17 @@ TEST(Mat, BatchedKernelsDegenerateShapes) {
   // 1-col outputs, 1-row inputs, and inner dimension 1: every degenerate
   // edge still matches the serial reference bitwise.
   const Mat a1 = random_mat(1, 4, 500);   // single sample
-  const Mat b1 = random_mat(1, 4, 501);   // single output element (nt)
-  const Mat c_nt = matmul_nt(a1, b1);
-  ASSERT_EQ(c_nt.rows(), 1u);
-  ASSERT_EQ(c_nt.cols(), 1u);
-  EXPECT_EQ(c_nt(0, 0), b1.matvec(a1.row(0))[0]);
-
   const Mat bcol = random_mat(4, 1, 502);  // 1-col B
   const Mat c_col = matmul(a1, bcol);
   ASSERT_EQ(c_col.cols(), 1u);
   EXPECT_EQ(c_col(0, 0), bcol.matvec_transposed(a1.row(0))[0]);
 
   const Mat ak1 = random_mat(5, 1, 503);  // inner dimension 1
-  const Mat bk1 = random_mat(3, 1, 504);
-  const Mat c_k1 = matmul_nt(ak1, bk1);
+  const Mat bk1 = random_mat(1, 3, 504);
+  const Mat c_k1 = matmul(ak1, bk1);
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(c_k1(i, j), bk1.matvec(ak1.row(i))[j]);
+      EXPECT_EQ(c_k1(i, j), bk1.matvec_transposed(ak1.row(i))[j]);
     }
   }
 
@@ -448,108 +415,122 @@ TEST(Mat, TransposeIntoMatchesElementwiseAndReusesStorage) {
   EXPECT_THROW(self.transpose_into(self), std::invalid_argument);
 }
 
-/// Two layers built from the same seed have identical weights; run B
-/// samples through one with single-sample calls and through the other with
-/// one batched call, and demand bitwise-equal outputs, parameter gradients,
-/// and input gradients. A third copy runs the batched backward with the
-/// input gradient skipped (as the tower's observation-facing branches do)
-/// and must produce the same parameter gradients bitwise.
+/// Layers built from the same seed have identical weights. Run B samples
+/// through one as B one-row captures, each followed by its own
+/// backward_batch with no zero_grad in between, and through another as one
+/// B-row capture and a single backward_batch; demand bitwise-equal outputs,
+/// parameter gradients, and input gradients. A third copy runs the B-row
+/// backward with the input gradient skipped (as the tower's
+/// observation-facing branches do) and must produce the same parameter
+/// gradients; a fourth runs the capture on the synced fast inference path
+/// and must match the unsynced slow path bitwise. infer() must agree with
+/// forward_capture() row by row.
 template <typename MakeLayer>
-void check_batched_matches_single(MakeLayer make, std::size_t in_dim,
-                                  std::size_t batch) {
-  util::Rng rng_single(2024);
+void check_batched_matches_row_by_row(MakeLayer make, std::size_t in_dim,
+                                      std::size_t batch) {
+  util::Rng rng_rows(2024);
   util::Rng rng_batch(2024);
   util::Rng rng_skip(2024);
-  auto single = make(rng_single);
+  util::Rng rng_fast(2024);
+  auto rows = make(rng_rows);
   auto batched = make(rng_batch);
   auto skipping = make(rng_skip);
+  auto fast = make(rng_fast);
+  fast->sync_inference_cache();
 
   util::Rng data_rng(7);
   Mat x(batch, in_dim);
   for (double& v : x.data()) v = data_rng.uniform(-1.0, 1.0);
-  Mat dy(batch, single->out_dim());
+  Mat dy(batch, rows->out_dim());
   for (double& v : dy.data()) v = data_rng.uniform(-1.0, 1.0);
 
-  // infer() must agree with forward().
-  {
-    const Vec x0(x.row(0).begin(), x.row(0).end());
-    EXPECT_EQ(single->infer(x0), single->forward(x0));
-  }
-
-  single->zero_grad();
-  batched->zero_grad();
-  Mat dx_single(batch, in_dim);
+  rows->zero_grad();
+  Mat y_rows(batch, rows->out_dim());
+  Mat dx_rows(batch, in_dim);
   for (std::size_t nidx = 0; nidx < batch; ++nidx) {
     const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
-    const Vec yn = single->forward(xn);
+    const Vec yn = capture_one(*rows, xn);
+    EXPECT_EQ(rows->infer(xn), yn) << "sample " << nidx;
+    std::copy(yn.begin(), yn.end(), y_rows.row(nidx).begin());
     const Vec dyn(dy.row(nidx).begin(), dy.row(nidx).end());
-    const Vec dxn = single->backward(dyn);
-    std::copy(dxn.begin(), dxn.end(), dx_single.row(nidx).begin());
-    (void)yn;
+    const Vec dxn = backward_one(*rows, dyn);
+    std::copy(dxn.begin(), dxn.end(), dx_rows.row(nidx).begin());
   }
-  const Mat y_batch = batched->forward_batch(x);
+
+  auto capture_all = [&](Layer& layer) {
+    Mat y(batch, layer.out_dim());
+    layer.zero_grad();
+    layer.begin_capture(batch);
+    for (std::size_t nidx = 0; nidx < batch; ++nidx) {
+      const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
+      const Vec yn = layer.forward_capture(xn, nidx);
+      std::copy(yn.begin(), yn.end(), y.row(nidx).begin());
+    }
+    return y;
+  };
+  const Mat y_batch = capture_all(*batched);
   // Pre-filled with junk: backward_batch must overwrite, not accumulate.
   Mat dx_batch(batch, in_dim, 123.0);
   batched->backward_batch(dy, &dx_batch);
-
-  skipping->zero_grad();
-  const Mat y_skip = skipping->forward_batch(x);
+  const Mat y_skip = capture_all(*skipping);
   skipping->backward_batch(dy, nullptr);
-  EXPECT_EQ(y_skip.data(), y_batch.data());
+  const Mat y_fast = capture_all(*fast);
+  Mat dx_fast;
+  fast->backward_batch(dy, &dx_fast);
 
-  // Outputs bitwise-identical to per-sample forward.
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
-    const Vec yn = single->forward(xn);
-    for (std::size_t j = 0; j < yn.size(); ++j) {
-      EXPECT_EQ(y_batch(nidx, j), yn[j]) << "sample " << nidx;
-    }
-  }
-  EXPECT_EQ(dx_single.data(), dx_batch.data());
-  auto ps = single->params();
+  EXPECT_EQ(y_batch.data(), y_rows.data());
+  EXPECT_EQ(y_skip.data(), y_rows.data());
+  EXPECT_EQ(y_fast.data(), y_rows.data());
+  EXPECT_EQ(dx_batch.data(), dx_rows.data());
+  EXPECT_EQ(dx_fast.data(), dx_rows.data());
+  auto pr = rows->params();
   auto pb = batched->params();
   auto pk = skipping->params();
-  ASSERT_EQ(ps.size(), pb.size());
-  ASSERT_EQ(ps.size(), pk.size());
-  for (std::size_t p = 0; p < ps.size(); ++p) {
-    EXPECT_EQ(ps[p].grad->data(), pb[p].grad->data()) << "param " << p;
+  auto pf = fast->params();
+  ASSERT_EQ(pr.size(), pb.size());
+  ASSERT_EQ(pr.size(), pk.size());
+  ASSERT_EQ(pr.size(), pf.size());
+  for (std::size_t p = 0; p < pr.size(); ++p) {
+    EXPECT_EQ(pr[p].grad->data(), pb[p].grad->data()) << "param " << p;
     EXPECT_EQ(pb[p].grad->data(), pk[p].grad->data())
         << "param " << p << " (input gradient skipped)";
+    EXPECT_EQ(pb[p].grad->data(), pf[p].grad->data())
+        << "param " << p << " (synced fast path)";
   }
 }
 
-TEST(BatchedLayers, DenseMatchesSingle) {
-  check_batched_matches_single(
+TEST(BatchedLayers, DenseMatchesRowByRow) {
+  check_batched_matches_row_by_row(
       [](util::Rng& rng) {
         return std::make_unique<Dense>(5, 4, Activation::kTanh, rng);
       },
       5, 6);
 }
 
-TEST(BatchedLayers, DenseReluMatchesSingle) {
-  check_batched_matches_single(
+TEST(BatchedLayers, DenseReluMatchesRowByRow) {
+  check_batched_matches_row_by_row(
       [](util::Rng& rng) {
         return std::make_unique<Dense>(6, 3, Activation::kRelu, rng);
       },
       6, 4);
 }
 
-TEST(BatchedLayers, Conv1DMatchesSingle) {
-  check_batched_matches_single(
+TEST(BatchedLayers, Conv1DMatchesRowByRow) {
+  check_batched_matches_row_by_row(
       [](util::Rng& rng) {
         return std::make_unique<Conv1D>(8, 3, 4, Activation::kRelu, rng);
       },
       8, 5);
 }
 
-TEST(BatchedLayers, SimpleRnnMatchesSingle) {
-  check_batched_matches_single(
+TEST(BatchedLayers, SimpleRnnMatchesRowByRow) {
+  check_batched_matches_row_by_row(
       [](util::Rng& rng) { return std::make_unique<SimpleRnn>(8, 4, rng); },
       8, 5);
 }
 
-TEST(BatchedLayers, LstmMatchesSingle) {
-  check_batched_matches_single(
+TEST(BatchedLayers, LstmMatchesRowByRow) {
+  check_batched_matches_row_by_row(
       [](util::Rng& rng) { return std::make_unique<Lstm>(8, 4, rng); }, 8,
       5);
 }
@@ -562,14 +543,20 @@ TEST(Conv1D, RejectsBadKernel) {
                std::invalid_argument);
 }
 
-TEST(Layers, ForwardRejectsWrongSize) {
+TEST(Layers, RejectsWrongSize) {
   util::Rng rng(12);
   Dense dense(3, 2, Activation::kRelu, rng);
-  EXPECT_THROW(dense.forward({1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)capture_one(dense, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)dense.infer({1.0, 2.0}), std::invalid_argument);
+  Conv1D conv(5, 2, 3, Activation::kRelu, rng);
+  EXPECT_THROW((void)capture_one(conv, {1.0}), std::invalid_argument);
+  EXPECT_THROW((void)conv.infer({1.0}), std::invalid_argument);
   SimpleRnn rnn(4, 3, rng);
-  EXPECT_THROW(rnn.forward({1.0}), std::invalid_argument);
+  EXPECT_THROW((void)capture_one(rnn, {1.0}), std::invalid_argument);
+  EXPECT_THROW((void)rnn.infer({1.0}), std::invalid_argument);
   Lstm lstm(4, 3, rng);
-  EXPECT_THROW(lstm.forward({1.0}), std::invalid_argument);
+  EXPECT_THROW((void)capture_one(lstm, {1.0}), std::invalid_argument);
+  EXPECT_THROW((void)lstm.infer({1.0}), std::invalid_argument);
 }
 
 // ---- optimizers -----------------------------------------------------------------
@@ -673,7 +660,7 @@ TEST(ArchSpec, DescribeMentionsUnit) {
 class NetVariantTest
     : public ::testing::TestWithParam<std::tuple<TemporalUnit, bool>> {};
 
-TEST_P(NetVariantTest, ForwardBackwardRuns) {
+TEST_P(NetVariantTest, CaptureBackwardRuns) {
   const auto [unit, shared] = GetParam();
   ArchSpec spec = ArchSpec::pensieve();
   spec.temporal = unit;
@@ -691,7 +678,8 @@ TEST_P(NetVariantTest, ForwardBackwardRuns) {
                            {0.2, 0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.2},
                            {0.1, 0.2, 0.4, 0.7, 1.1, 1.7},
                            {0.5}};
-  const auto out = net.forward(rows);
+  net.begin_batch_capture(1);
+  const auto out = net.forward_capture(rows, 0);
   ASSERT_EQ(out.probs.size(), 6u);
   double total = 0.0;
   for (double p : out.probs) {
@@ -701,9 +689,9 @@ TEST_P(NetVariantTest, ForwardBackwardRuns) {
   EXPECT_NEAR(total, 1.0, 1e-9);
   EXPECT_TRUE(std::isfinite(out.value));
 
-  Vec dlogits(6, 0.1);
-  dlogits[2] = -0.5;
-  EXPECT_NO_THROW(net.backward(dlogits, 0.7));
+  Mat dlogits(1, 6, 0.1);
+  dlogits(0, 2) = -0.5;
+  EXPECT_NO_THROW(net.backward_batch(dlogits, {0.7}));
   // Gradients should be nonzero somewhere.
   double grad_norm = 0.0;
   for (auto& p : net.params()) {
@@ -727,7 +715,7 @@ INSTANTIATE_TEST_SUITE_P(
 class NetBatchedVariantTest
     : public ::testing::TestWithParam<std::tuple<TemporalUnit, bool>> {};
 
-TEST_P(NetBatchedVariantTest, BatchedMatchesSingleBitwise) {
+TEST_P(NetBatchedVariantTest, BatchedMatchesRowByRowBitwise) {
   const auto [unit, shared] = GetParam();
   ArchSpec spec = ArchSpec::pensieve();
   spec.temporal = unit;
@@ -736,13 +724,13 @@ TEST_P(NetBatchedVariantTest, BatchedMatchesSingleBitwise) {
   spec.rnn_hidden = 8;
   spec.scalar_hidden = 8;
   spec.merge_hidden = 8;
-  util::Rng rng_single(99);
+  util::Rng rng_rows(99);
   util::Rng rng_batch(99);
-  util::Rng rng_capture(99);
-  ActorCriticNet single(spec, pensieve_signature(), 6, rng_single);
+  util::Rng rng_fast(99);
+  ActorCriticNet rows(spec, pensieve_signature(), 6, rng_rows);
   ActorCriticNet batched(spec, pensieve_signature(), 6, rng_batch);
-  ActorCriticNet captured(spec, pensieve_signature(), 6, rng_capture);
-  captured.sync_inference_cache();  // capture runs on the fast path
+  ActorCriticNet fast(spec, pensieve_signature(), 6, rng_fast);
+  fast.sync_inference_cache();  // as the trainer's rollout runs
 
   util::Rng data_rng(3);
   const std::size_t batch = 5;
@@ -759,50 +747,57 @@ TEST_P(NetBatchedVariantTest, BatchedMatchesSingleBitwise) {
   Vec dvalues(batch);
   for (double& v : dvalues) v = data_rng.uniform(-0.5, 0.5);
 
-  // Single path: interleaved forward/backward per sample, as the serial
-  // trainer's gradient loop does.
-  single.zero_grad();
-  std::vector<ActorCriticNet::Output> single_outs;
+  // Row by row: a one-row capture and its backward per sample, gradients
+  // accumulating across samples without zero_grad.
+  rows.zero_grad();
+  std::vector<ActorCriticNet::Output> row_outs;
   for (std::size_t b = 0; b < batch; ++b) {
-    single_outs.push_back(single.forward(samples[b]));
-    const Vec db(dlogits.row(b).begin(), dlogits.row(b).end());
-    single.backward(db, dvalues[b]);
+    rows.begin_batch_capture(1);
+    row_outs.push_back(rows.forward_capture(samples[b], 0));
+    Mat db(1, 6);
+    std::copy(dlogits.row(b).begin(), dlogits.row(b).end(),
+              db.row(0).begin());
+    rows.backward_batch(db, {dvalues[b]});
   }
-  batched.zero_grad();
-  const auto batch_out = batched.forward_batch(samples);
-  batched.backward_batch(dlogits, dvalues);
 
-  // Capture path: forward one row at a time (as the rollout does), then a
-  // single backward over the captured caches.
-  captured.zero_grad();
-  captured.begin_batch_capture(batch);
-  std::vector<ActorCriticNet::Output> capture_outs;
-  for (std::size_t b = 0; b < batch; ++b) {
-    capture_outs.push_back(captured.forward_capture(samples[b], b));
-  }
-  captured.backward_batch(dlogits, dvalues);
-
-  for (std::size_t b = 0; b < batch; ++b) {
-    EXPECT_EQ(batch_out.probs[b], single_outs[b].probs);  // bitwise
-    EXPECT_EQ(batch_out.values[b], single_outs[b].value);
-    EXPECT_EQ(capture_outs[b].probs, single_outs[b].probs);
-    EXPECT_EQ(capture_outs[b].value, single_outs[b].value);
-    // forward_inference must agree as well (it shares the fast path).
-    const auto inference = captured.forward_inference(samples[b]);
-    EXPECT_EQ(inference.probs, single_outs[b].probs);
-    EXPECT_EQ(inference.value, single_outs[b].value);
-    for (std::size_t j = 0; j < 6; ++j) {
-      EXPECT_EQ(batch_out.logits(b, j), single_outs[b].logits[j]);
+  // One capture over all rows (as the rollout fills an episode), then a
+  // single backward — unsynced (slow exact path) and synced (fast path).
+  auto capture_all = [&](ActorCriticNet& net) {
+    std::vector<ActorCriticNet::Output> outs;
+    net.zero_grad();
+    net.begin_batch_capture(batch);
+    for (std::size_t b = 0; b < batch; ++b) {
+      outs.push_back(net.forward_capture(samples[b], b));
     }
+    net.backward_batch(dlogits, dvalues);
+    return outs;
+  };
+  const auto batch_outs = capture_all(batched);
+  const auto fast_outs = capture_all(fast);
+
+  for (std::size_t b = 0; b < batch; ++b) {
+    SCOPED_TRACE("sample " + std::to_string(b));
+    EXPECT_EQ(batch_outs[b].logits, row_outs[b].logits);  // bitwise
+    EXPECT_EQ(batch_outs[b].probs, row_outs[b].probs);
+    EXPECT_EQ(batch_outs[b].value, row_outs[b].value);
+    EXPECT_EQ(fast_outs[b].logits, row_outs[b].logits);
+    EXPECT_EQ(fast_outs[b].value, row_outs[b].value);
+    // forward_inference must agree as well, slow and fast.
+    const auto slow_inference = rows.forward_inference(samples[b]);
+    EXPECT_EQ(slow_inference.probs, row_outs[b].probs);
+    EXPECT_EQ(slow_inference.value, row_outs[b].value);
+    const auto fast_inference = fast.forward_inference(samples[b]);
+    EXPECT_EQ(fast_inference.probs, row_outs[b].probs);
+    EXPECT_EQ(fast_inference.value, row_outs[b].value);
   }
-  auto ps = single.params();
+  auto pr = rows.params();
   auto pb = batched.params();
-  auto pc = captured.params();
-  ASSERT_EQ(ps.size(), pb.size());
-  ASSERT_EQ(ps.size(), pc.size());
-  for (std::size_t p = 0; p < ps.size(); ++p) {
-    EXPECT_EQ(ps[p].grad->data(), pb[p].grad->data()) << "param " << p;
-    EXPECT_EQ(ps[p].grad->data(), pc[p].grad->data()) << "param " << p;
+  auto pf = fast.params();
+  ASSERT_EQ(pr.size(), pb.size());
+  ASSERT_EQ(pr.size(), pf.size());
+  for (std::size_t p = 0; p < pr.size(); ++p) {
+    EXPECT_EQ(pr[p].grad->data(), pb[p].grad->data()) << "param " << p;
+    EXPECT_EQ(pr[p].grad->data(), pf[p].grad->data()) << "param " << p;
   }
 }
 
@@ -818,7 +813,7 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "_shared" : "_separate");
     });
 
-TEST(ActorCriticNet, BatchedRejectsEmptyAndMalformedBatches) {
+TEST(ActorCriticNet, CaptureRejectsEmptyAndMalformedBatches) {
   ArchSpec spec = ArchSpec::pensieve();
   spec.conv_filters = 4;
   spec.scalar_hidden = 4;
@@ -827,9 +822,19 @@ TEST(ActorCriticNet, BatchedRejectsEmptyAndMalformedBatches) {
   StateSignature sig;
   sig.row_lengths = {1, 8};
   ActorCriticNet net(spec, sig, 3, rng);
-  EXPECT_THROW((void)net.forward_batch({}), std::invalid_argument);
-  std::vector<std::vector<Vec>> bad_rows = {{{0.1}}};
-  EXPECT_THROW((void)net.forward_batch(bad_rows), std::invalid_argument);
+  EXPECT_THROW(net.begin_batch_capture(0), std::invalid_argument);
+  net.begin_batch_capture(2);
+  const std::vector<Vec> bad_rows = {{0.1}};
+  EXPECT_THROW((void)net.forward_capture(bad_rows, 0), std::invalid_argument);
+  const std::vector<Vec> short_row = {{0.1}, {0.2, 0.3}};
+  EXPECT_THROW((void)net.forward_capture(short_row, 0),
+               std::invalid_argument);
+  // A gradient whose rows disagree with the capture is rejected too.
+  const std::vector<Vec> good_rows = {{0.1}, Vec(8, 0.2)};
+  (void)net.forward_capture(good_rows, 0);
+  (void)net.forward_capture(good_rows, 1);
+  EXPECT_THROW(net.backward_batch(Mat(3, 3), {0.1, 0.2, 0.3}),
+               std::invalid_argument);
 }
 
 TEST(ActorCriticNet, WholeNetGradientCheck) {
@@ -850,14 +855,20 @@ TEST(ActorCriticNet, WholeNetGradientCheck) {
                                   -0.3}};
   const Vec w_logit = {0.3, -0.7, 0.5};
   const double w_value = 0.9;
+  auto capture = [&] {
+    net.begin_batch_capture(1);
+    return net.forward_capture(rows, 0);
+  };
   auto loss = [&] {
-    const auto out = net.forward(rows);
+    const auto out = capture();
     return dot(out.logits, w_logit) + w_value * out.value;
   };
 
   net.zero_grad();
-  (void)net.forward(rows);
-  net.backward(w_logit, w_value);
+  (void)capture();
+  Mat dlogits(1, w_logit.size());
+  std::copy(w_logit.begin(), w_logit.end(), dlogits.row(0).begin());
+  net.backward_batch(dlogits, {w_value});
 
   const double eps = 1e-6;
   auto params = net.params();
@@ -899,8 +910,8 @@ TEST(ActorCriticNet, WeightsRoundtrip) {
                                  {0.2, 0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.2},
                                  {0.1, 0.2, 0.4, 0.7, 1.1, 1.7},
                                  {0.5}};
-  const auto oa = a.forward(rows);
-  const auto ob = b.forward(rows);
+  const auto oa = a.forward_inference(rows);
+  const auto ob = b.forward_inference(rows);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_DOUBLE_EQ(oa.probs[i], ob.probs[i]);
   }
@@ -925,10 +936,14 @@ TEST(ActorCriticNet, RowMismatchThrows) {
   spec.scalar_hidden = 8;
   spec.merge_hidden = 8;
   ActorCriticNet net(spec, pensieve_signature(), 6, rng);
-  EXPECT_THROW(net.forward({{0.1}}), std::invalid_argument);
+  net.begin_batch_capture(1);
+  EXPECT_THROW((void)net.forward_inference({{0.1}}), std::invalid_argument);
+  EXPECT_THROW((void)net.forward_capture({{0.1}}, 0), std::invalid_argument);
   std::vector<Vec> bad_rows = {{0.3}, {0.9}, {0.1, 0.2}, {0.2},
                                {0.1}, {0.5}};
-  EXPECT_THROW(net.forward(bad_rows), std::invalid_argument);
+  EXPECT_THROW((void)net.forward_inference(bad_rows), std::invalid_argument);
+  EXPECT_THROW((void)net.forward_capture(bad_rows, 0),
+               std::invalid_argument);
 }
 
 TEST(ActorCriticNet, FewerThanTwoActionsRejected) {
@@ -990,6 +1005,45 @@ TEST(MlpClassifier, LearnsLinearlySeparable) {
   EXPECT_GT(static_cast<double>(correct) / xs.size(), 0.92);
 }
 
+// Fixed-seed training of both classifiers, pinned against golden predict()
+// outputs. 37 samples at batch size 16 leave a ragged final mini-batch, and
+// the default options apply the L2 term, so every branch of the shared
+// BCE loop is covered.
+TEST(Classifier, FixedSeedTrainingMatchesGolden) {
+  util::Rng data_rng(25);
+  std::vector<Vec> series;
+  std::vector<Vec> points;
+  std::vector<double> labels;
+  for (int i = 0; i < 37; ++i) {
+    Vec s(12);
+    const bool rising = i % 3 != 0;
+    for (std::size_t t = 0; t < s.size(); ++t) {
+      const double base = rising ? t / 12.0 : 1.0 - t / 12.0;
+      s[t] = base + data_rng.normal(0.0, 0.1);
+    }
+    series.push_back(std::move(s));
+    Vec p(5);
+    for (double& v : p) v = data_rng.uniform(-1.0, 1.0);
+    points.push_back(std::move(p));
+    labels.push_back(rising ? 0.9 : 0.1);
+  }
+  ClassifierTrainOptions opts;
+  opts.epochs = 7;
+
+  util::Rng rng(26);
+  Conv1DClassifier cnn(12, 4, 3, 6, rng);
+  cnn.train(series, labels, opts);
+  MlpClassifier mlp(5, {8, 6}, rng);
+  mlp.train(points, labels, opts);
+
+  std::string out;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    out += "cnn " + golden::hex(cnn.predict(series[i])) + " mlp " +
+           golden::hex(mlp.predict(points[i])) + "\n";
+  }
+  golden::expect_golden("classifiers.txt", "fixed-seed", out);
+}
+
 TEST(Classifier, SoftLabelsAccepted) {
   util::Rng rng(21);
   MlpClassifier clf(2, {4}, rng);
@@ -1008,6 +1062,9 @@ TEST(Classifier, RejectsBadLabels) {
   EXPECT_THROW(clf.train(xs, {1.5}, opts), std::invalid_argument);
   EXPECT_THROW(clf.train(xs, {-0.1}, opts), std::invalid_argument);
   EXPECT_THROW(clf.train({}, {}, opts), std::invalid_argument);
+  ClassifierTrainOptions zero_batch;
+  zero_batch.batch_size = 0;
+  EXPECT_THROW(clf.train(xs, {1.0}, zero_batch), std::invalid_argument);
 }
 
 TEST(Classifier, PredictRejectsWrongDim) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dsl/state_program.h"
+#include "env/abr_domain.h"
 #include "rl/agent.h"
 #include "rl/session.h"
 #include "rl/trainer.h"
@@ -98,8 +99,8 @@ TEST(Trainer, RewardImprovesOnEasyEnvironment) {
   config.epochs = 240;
   config.test_interval = 60;
   config.learning_rate = 2e-3;
-  Trainer trainer(dataset, video, config, 77);
-  const auto result = trainer.train(pensieve_program(), tiny_arch());
+  const Trainer trainer(dataset, video, config);
+  const auto result = trainer.train(pensieve_program(), tiny_arch(), 77);
   ASSERT_FALSE(result.failed) << result.error;
   ASSERT_EQ(result.train_rewards.size(), config.epochs);
   const double early = util::mean(
@@ -115,8 +116,8 @@ TEST(Trainer, CheckpointCadenceMatchesInterval) {
   TrainConfig config;
   config.epochs = 50;
   config.test_interval = 10;
-  Trainer trainer(dataset, video, config, 1);
-  const auto result = trainer.train(pensieve_program(), tiny_arch());
+  const Trainer trainer(dataset, video, config);
+  const auto result = trainer.train(pensieve_program(), tiny_arch(), 1);
   ASSERT_FALSE(result.failed);
   ASSERT_EQ(result.test_scores.size(), 5u);
   EXPECT_EQ(result.test_epochs.front(), 10.0);
@@ -129,8 +130,8 @@ TEST(Trainer, SkippingEvaluationProducesNoCheckpoints) {
   TrainConfig config;
   config.epochs = 30;
   config.evaluate_checkpoints = false;
-  Trainer trainer(dataset, video, config, 2);
-  const auto result = trainer.train(pensieve_program(), tiny_arch());
+  const Trainer trainer(dataset, video, config);
+  const auto result = trainer.train(pensieve_program(), tiny_arch(), 2);
   ASSERT_FALSE(result.failed);
   EXPECT_TRUE(result.test_scores.empty());
   EXPECT_EQ(result.train_rewards.size(), 30u);
@@ -149,12 +150,12 @@ TEST(Trainer, FragileProgramCapturedAsFailure) {
   const auto video = video::make_test_video(video::pensieve_ladder(), 8);
   TrainConfig config;
   config.epochs = 10;
-  Trainer trainer(dataset, video, config, 3);
-  const auto result = trainer.train(program, tiny_arch());
+  const Trainer trainer(dataset, video, config);
+  const auto result = trainer.train(program, tiny_arch(), 3);
   // log(0.0001) = -9.2: fine. This one survives; now the truly fragile one:
   const auto fragile = dsl::StateProgram::compile(
       "emit \"x\" = log(vmin(throughput_mbps));\n");
-  const auto result2 = trainer.train(fragile, tiny_arch());
+  const auto result2 = trainer.train(fragile, tiny_arch(), 3);
   EXPECT_TRUE(result2.failed);
   EXPECT_FALSE(result2.error.empty());
   EXPECT_EQ(result2.final_score, -1e9);
@@ -166,10 +167,10 @@ TEST(Trainer, InvalidArchCapturedAsFailure) {
   const auto video = video::make_test_video(video::pensieve_ladder(), 9);
   TrainConfig config;
   config.epochs = 5;
-  Trainer trainer(dataset, video, config, 4);
+  const Trainer trainer(dataset, video, config);
   nn::ArchSpec bad = tiny_arch();
   bad.conv_kernel = 7;  // > next-sizes row length 6
-  const auto result = trainer.train(pensieve_program(), bad);
+  const auto result = trainer.train(pensieve_program(), bad, 4);
   EXPECT_TRUE(result.failed);
 }
 
@@ -180,8 +181,8 @@ TEST(Trainer, MaxEvalTracesCapsEvaluation) {
   config.epochs = 10;
   config.test_interval = 10;
   config.max_eval_traces = 1;
-  Trainer trainer(dataset, video, config, 5);
-  const auto result = trainer.train(pensieve_program(), tiny_arch());
+  const Trainer trainer(dataset, video, config);
+  const auto result = trainer.train(pensieve_program(), tiny_arch(), 5);
   ASSERT_FALSE(result.failed);
   EXPECT_EQ(result.test_scores.size(), 1u);
 }
@@ -191,11 +192,11 @@ TEST(Trainer, RejectsDegenerateConfig) {
   const auto video = video::make_test_video(video::pensieve_ladder(), 11);
   TrainConfig zero_epochs;
   zero_epochs.epochs = 0;
-  EXPECT_THROW(Trainer(dataset, video, zero_epochs, 1),
+  EXPECT_THROW(Trainer(dataset, video, zero_epochs),
                std::invalid_argument);
   TrainConfig zero_interval;
   zero_interval.test_interval = 0;
-  EXPECT_THROW(Trainer(dataset, video, zero_interval, 1),
+  EXPECT_THROW(Trainer(dataset, video, zero_interval),
                std::invalid_argument);
 }
 
@@ -207,12 +208,11 @@ TEST(EvaluateAgent, DeterministicForSeed) {
   const auto program = pensieve_program();
   util::Rng rng(6);
   AbrAgent agent(program, tiny_arch(), 6, rng);
+  const env::AbrDomain domain(dataset, video);
   const double a =
-      evaluate_agent(agent, dataset.test, video,
-                     env::Fidelity::kSimulation, 42);
+      evaluate_agent(agent, domain, env::Fidelity::kSimulation, 42);
   const double b =
-      evaluate_agent(agent, dataset.test, video,
-                     env::Fidelity::kSimulation, 42);
+      evaluate_agent(agent, domain, env::Fidelity::kSimulation, 42);
   EXPECT_DOUBLE_EQ(a, b);
 }
 
@@ -222,10 +222,11 @@ TEST(EvaluateAgent, EmulationDiffersFromSimulation) {
   const auto program = pensieve_program();
   util::Rng rng(7);
   AbrAgent agent(program, tiny_arch(), 6, rng);
-  const double sim = evaluate_agent(agent, dataset.test, video,
-                                    env::Fidelity::kSimulation, 42);
-  const double emu = evaluate_agent(agent, dataset.test, video,
-                                    env::Fidelity::kEmulation, 42);
+  const env::AbrDomain domain(dataset, video);
+  const double sim =
+      evaluate_agent(agent, domain, env::Fidelity::kSimulation, 42);
+  const double emu =
+      evaluate_agent(agent, domain, env::Fidelity::kEmulation, 42);
   EXPECT_NE(sim, emu);
 }
 
@@ -265,12 +266,16 @@ TEST(EvaluateAgent, SubsetOverloadMatchesManualSubset) {
   AbrAgent agent(program, tiny_arch(), 6, rng);
   const std::vector<std::size_t> indices =
       eval_trace_indices(dataset.test.size(), 2);
-  std::vector<trace::Trace> subset;
-  for (std::size_t i : indices) subset.push_back(dataset.test[i]);
-  const double via_indices =
-      evaluate_agent(agent, dataset.test, indices, video,
-                     env::Fidelity::kSimulation, 42);
-  const double via_copy = evaluate_agent(agent, subset, video,
+  // The same eval units, once addressed by index into the full split and
+  // once as the whole eval split of a domain over a copied subset.
+  trace::Dataset subset = dataset;
+  subset.test.clear();
+  for (std::size_t i : indices) subset.test.push_back(dataset.test[i]);
+  const env::AbrDomain full_domain(dataset, video);
+  const env::AbrDomain subset_domain(subset, video);
+  const double via_indices = evaluate_agent(
+      agent, full_domain, indices, env::Fidelity::kSimulation, 42);
+  const double via_copy = evaluate_agent(agent, subset_domain,
                                          env::Fidelity::kSimulation, 42);
   EXPECT_DOUBLE_EQ(via_indices, via_copy);
 }
