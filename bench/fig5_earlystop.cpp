@@ -10,9 +10,10 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
-#include "filter/earlystop.h"
 #include "env/abr_domain.h"
+#include "filter/earlystop.h"
+#include "gen/state_gen.h"
+#include "search/types.h"
 
 namespace {
 
@@ -75,16 +76,7 @@ int main() {
       std::max<std::size_t>(scale.gen_count(2000), 150);
   const std::size_t total_epochs = scale.epoch_count(10000, 120);
 
-  nn::ArchSpec arch = nn::ArchSpec::pensieve();
-  const double model_scale = util::env_double("NADA_SCALE_MODEL", 0.25);
-  auto sw = [model_scale](std::size_t w) {
-    return std::max<std::size_t>(
-        static_cast<std::size_t>(std::lround(w * model_scale)), 8);
-  };
-  arch.conv_filters = sw(arch.conv_filters);
-  arch.rnn_hidden = sw(arch.rnn_hidden);
-  arch.scalar_hidden = sw(arch.scalar_hidden);
-  arch.merge_hidden = sw(arch.merge_hidden);
+  const nn::ArchSpec arch = search::scaled_pensieve_arch(scale);
 
   const trace::Environment envs[] = {trace::Environment::kFcc,
                                      trace::Environment::kStarlink};

@@ -1,7 +1,6 @@
 // Kernel micro-bench: GFLOP/s of the batched nn kernels (matmul and
 // add_matmul_tn) per flavor at probe-sized shapes, plus the
-// bit-identity smoke check (avx2 must reproduce scalar results exactly;
-// fma is pinned-divergent and only checked for closeness).
+// bit-identity smoke check (avx2 must reproduce scalar results exactly).
 //
 // The shapes mirror the probe hot path: n = episode length (batch rows),
 // inner = layer input width, m = layer output width.
@@ -43,10 +42,6 @@ int main() {
   std::vector<nn::KernelFlavor> flavors = {nn::KernelFlavor::kScalar};
   if (nn::built_with_avx2_kernels() && nn::cpu_supports_avx2()) {
     flavors.push_back(nn::KernelFlavor::kAvx2);
-  }
-  if (nn::built_with_fma_kernels() && nn::cpu_supports_avx2() &&
-      nn::cpu_supports_fma()) {
-    flavors.push_back(nn::KernelFlavor::kFma);
   }
   std::cout << "flavors runnable here:";
   for (const nn::KernelFlavor f : flavors) {
@@ -97,7 +92,7 @@ int main() {
       if (f == nn::KernelFlavor::kScalar) {
         matmul_ref = c_mm;
         tn_ref = c_tn;
-      } else if (f == nn::KernelFlavor::kAvx2) {
+      } else {
         const bool identical =
             same_bits(c_mm, matmul_ref) && same_bits(c_tn, tn_ref);
         comparison = identical ? "bit-identical" : "DIVERGED";
@@ -106,8 +101,6 @@ int main() {
           std::cout << "ERROR: avx2 diverged from scalar at " << s.n << "x"
                     << s.inner << "x" << s.m << "\n";
         }
-      } else {
-        comparison = "divergent (pinned, kernel=fma)";
       }
 
       table.add_row({std::to_string(s.n) + "x" + std::to_string(s.inner) +

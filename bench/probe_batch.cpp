@@ -8,8 +8,7 @@
 // the engine's results, and exits nonzero when one fails:
 //   * a fixed, unscaled 16-job probe cohort must reproduce a golden digest
 //     of its reward curves at block sizes 1, 4 and 16 (the digest was
-//     recorded from the single-sample trainer the engine replaced; it is
-//     skipped under the fma kernel flavor, which may change result bits),
+//     recorded from the single-sample trainer the engine replaced),
 //   * every timed row must produce the same curves at both block sizes.
 #include <cmath>
 #include <cstdint>
@@ -87,7 +86,6 @@ bool check_golden(const std::vector<dsl::StateProgram>& programs,
   config.epochs = 12;
   config.evaluate_checkpoints = false;
   const auto jobs = make_jobs(programs, arch, 16);
-  const bool fma = nn::kernel_flavor() == nn::KernelFlavor::kFma;
   bool ok = true;
   std::uint64_t first = 0;
   for (const std::size_t block : {1u, 4u, 16u}) {
@@ -101,8 +99,6 @@ bool check_golden(const std::vector<dsl::StateProgram>& programs,
     if (digest != first) {
       std::cout << "  ERROR: differs from block size 1";
       ok = false;
-    } else if (fma) {
-      std::cout << "  (golden check skipped: fma may change result bits)";
     } else if (digest != kGoldenDigest) {
       std::cout << "  ERROR: golden mismatch";
       ok = false;
@@ -151,11 +147,8 @@ int main() {
   arch.scalar_hidden = 32;
   arch.merge_hidden = 32;
 
-  // Every row is labeled with the NN kernel flavor it ran under: scalar
-  // and avx2 rows are mutually comparable (bit-identical results), fma
-  // rows are a different numeric universe (pinned-divergent) and must
-  // never be diffed against scalar/avx2 rows — the label is what makes a
-  // cross-flavor CSV comparison an explicit choice instead of an accident.
+  // Every row is labeled with the NN kernel flavor it ran under. Results
+  // are bit-identical across flavors; throughput is not.
   const std::string flavor = nn::kernel_flavor_name(nn::kernel_flavor());
   std::cout << "nn kernel flavor: " << flavor << "\n";
 
@@ -220,18 +213,13 @@ int main() {
   }
 
   // Kernel-flavor sweep: the same cohort under each runnable flavor.
-  // Cross-flavor comparisons follow the contract: avx2 must reproduce the
-  // scalar curves bit-for-bit (a divergence fails the bench), while fma is
-  // pinned-divergent — its rows are labeled so, never silently compared.
+  // avx2 must reproduce the scalar curves bit-for-bit (a divergence fails
+  // the bench).
   {
     const nn::KernelFlavor entry_flavor = nn::kernel_flavor();
     std::vector<nn::KernelFlavor> flavors = {nn::KernelFlavor::kScalar};
     if (nn::built_with_avx2_kernels() && nn::cpu_supports_avx2()) {
       flavors.push_back(nn::KernelFlavor::kAvx2);
-    }
-    if (nn::built_with_fma_kernels() && nn::cpu_supports_avx2() &&
-        nn::cpu_supports_fma()) {
-      flavors.push_back(nn::KernelFlavor::kFma);
     }
 
     const std::size_t cohort = 16;
@@ -255,20 +243,11 @@ int main() {
           identical &= flavor_results[i].train_rewards ==
                        scalar_results[i].train_rewards;
         }
-        if (f == nn::KernelFlavor::kAvx2) {
-          comparison = identical ? "bit-identical" : "DIVERGED";
-          if (!identical) {
-            all_identical = false;
-            std::cout << "ERROR: avx2 curves diverged from scalar — the "
-                         "bit-identity contract is broken\n";
-          }
-        } else {
-          // fma may diverge from scalar (fused rounding) — that is the
-          // documented contract. Curves CAN still match bitwise: rewards
-          // are quantized by env dynamics, so low-order logit changes
-          // only surface when they flip a sampled action.
-          comparison = identical ? "curves match (divergence allowed)"
-                                 : "divergent (pinned, kernel=fma)";
+        comparison = identical ? "bit-identical" : "DIVERGED";
+        if (!identical) {
+          all_identical = false;
+          std::cout << "ERROR: avx2 curves diverged from scalar — the "
+                       "bit-identity contract is broken\n";
         }
       }
       sweep.add_row({nn::kernel_flavor_name(f), util::format_double(rate, 2),

@@ -7,9 +7,13 @@
 // state-only, net-only, and combined designs over the original.
 #include <algorithm>
 #include <iostream>
+#include <optional>
 
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "gen/arch_gen.h"
+#include "gen/state_gen.h"
+#include "search/search_job.h"
 
 namespace {
 
@@ -30,7 +34,7 @@ PaperEntry paper_improvements(nada::trace::Environment env) {
 
 /// Indices of the fully trained outcomes, best first.
 std::vector<std::size_t> ranked_trained(
-    const nada::core::PipelineResult& result) {
+    const nada::search::SearchResult& result) {
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
     if (result.outcomes[i].fully_trained) idx.push_back(i);
@@ -50,7 +54,6 @@ int main() {
                 scale);
   bench::Stopwatch timer;
   util::ThreadPool pool;
-  const double model_scale = util::env_double("NADA_SCALE_MODEL", 0.25);
   // Paper: top 30 x top 30 = 900 combinations; scaled: top_k x top_k.
   const std::size_t top_k =
       std::clamp<std::size_t>(scale.gen_count(30, 2), 2, 4);
@@ -67,22 +70,34 @@ int main() {
     const video::Video video = video::make_test_video(
         high_bw ? video::youtube_ladder() : video::pensieve_ladder(), 7);
 
-    core::PipelineConfig config = core::scaled_pipeline_config(env, scale);
+    const env::AbrDomain domain(dataset, video);
+    search::SearchConfig config = search::scaled_config(env, scale);
     config.full_train_top = top_k;
-    core::Pipeline pipeline(dataset, video, config,
-                            5000 + static_cast<int>(env), &pool);
-    const double original = pipeline.original_baseline().test_score;
+    const std::uint64_t seed = 5000 + static_cast<int>(env);
+    // Trained once, shared by the state and the architecture search.
+    std::optional<rl::SessionResult> baseline =
+        search::train_baseline(domain, config, seed, &pool);
+    const double original = baseline->test_score;
+    const search::JobOptions options{.pool = &pool,
+                                     .baseline_cache = &baseline};
 
     gen::StateGenerator state_gen(gen::gpt35_profile(), gen::PromptStrategy{},
                                   71 + static_cast<int>(env));
+    search::StateCandidateSource state_source(state_gen);
     const auto state_result =
-        pipeline.search_states(state_gen, config.baseline_arch);
+        search::SearchJob(domain, config, seed, state_source,
+                          {nullptr, &config.baseline_arch}, options)
+            .run_to_completion();
 
     gen::ArchGenerator arch_gen(gen::gpt35_profile(), gen::PromptStrategy{},
-                                72 + static_cast<int>(env), model_scale);
+                                72 + static_cast<int>(env), scale.model);
+    search::ArchCandidateSource arch_source(arch_gen);
     const auto original_state =
         dsl::StateProgram::compile(dsl::pensieve_state_source());
-    const auto arch_result = pipeline.search_archs(arch_gen, original_state);
+    const auto arch_result =
+        search::SearchJob(domain, config, seed, arch_source,
+                          {&original_state, nullptr}, options)
+            .run_to_completion();
 
     const auto top_states = ranked_trained(state_result);
     const auto top_archs = ranked_trained(arch_result);

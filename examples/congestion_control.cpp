@@ -5,7 +5,7 @@
 // implementation and (2) a simulator to score it. This example runs the
 // full funnel — generate CC state functions -> pre-check against the CC
 // binding catalog -> batched probe -> early-stop ranking -> full training
-// -> rank — over cc::CcDomain, through core::Pipeline, i.e. exactly the
+// -> rank — over cc::CcDomain, through search::SearchJob, i.e. exactly the
 // code path the ABR search uses. A persistent candidate store makes the
 // second invocation serve every stage from its journal.
 //
@@ -15,9 +15,9 @@
 #include "cc/cc_domain.h"
 #include "cc/cc_env.h"
 #include "cc/cc_state.h"
-#include "core/pipeline.h"
 #include "examples/example_common.h"
 #include "gen/state_gen.h"
+#include "search/search_job.h"
 #include "store/candidate_store.h"
 #include "trace/generator.h"
 #include "util/stats.h"
@@ -45,7 +45,7 @@ int main() {
   const cc::CcDomain domain(dataset, cc_config);
 
   // Funnel budgets (tiny demo scale).
-  core::PipelineConfig config =
+  search::SearchConfig config =
       examples::demo_funnel_config(/*candidates=*/24, /*early_epochs=*/6,
                                    /*full_train_top=*/3, /*seeds=*/2,
                                    /*epochs=*/16, /*test_interval=*/8,
@@ -53,10 +53,10 @@ int main() {
   config.baseline_arch = examples::small_pensieve_arch(8, 8, 8, 16);
 
   util::ThreadPool pool(4);
-  core::Pipeline pipeline(domain, config, 2024, &pool);
 
   // Persistent store: reruns of this example serve cached stages.
-  const auto store = examples::attach_default_store(pipeline);
+  const auto store =
+      examples::open_default_store(search::store_scope(domain, config, 2024));
   std::cout << "\n";
 
   // CC candidates from the CC design space; the same generator machinery
@@ -66,8 +66,14 @@ int main() {
 
   std::cout << "Running the CC search funnel (generate -> pre-check -> "
                "batched probe -> rank -> full train)...\n";
-  const core::PipelineResult result =
-      pipeline.search_states(generator, config.baseline_arch);
+  search::StateCandidateSource source(generator);
+  search::JobOptions options;
+  options.store = store.get();
+  options.pool = &pool;
+  search::SearchJob job(domain, config, 2024, source,
+                        search::FixedDesign{nullptr, &config.baseline_arch},
+                        options);
+  const search::SearchResult result = job.run_to_completion();
 
   util::TextTable funnel("CC search funnel");
   funnel.set_header({"Stage", "Count"});

@@ -10,10 +10,8 @@
 //   ./build/examples/persistent_search
 //   ./build/examples/persistent_search   # all cache hits
 // The journal lands under $NADA_STORE_DIR (default ./nada_store).
-//
-// (core::Pipeline::search_states/resume_states remain as the stable
-// blocking wrappers over exactly this job — see examples/design_search.cpp
-// for that surface.)
+// examples/design_search.cpp shows the blocking form, one
+// run_to_completion() call.
 #include <iostream>
 #include <optional>
 

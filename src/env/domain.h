@@ -1,9 +1,10 @@
 // TaskDomain: the environment abstraction the search funnel runs over.
 //
 // The funnel (generate -> pre-check -> batched probe -> early-stop -> full
-// train -> rank) is domain-agnostic: rl::Trainer and core::Pipeline only
-// need fixed-length episodes that step under a discrete action space,
-// observations expressed as DSL bindings, and a handful of scalar hints. A TaskDomain packages those for one task — ABR streaming
+// train -> rank) is domain-agnostic: rl::Trainer and search::SearchJob
+// only need fixed-length episodes that step under a discrete action space,
+// observations expressed as DSL bindings, and a handful of scalar hints.
+// A TaskDomain packages those for one task — ABR streaming
 // (env::AbrDomain) and congestion control (cc::CcDomain) today; a third
 // domain is one subclass plus a binding catalog and a generator state
 // space away.

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/scale.h"
 #include "util/strings.h"
 
 namespace nada::gen {
@@ -45,10 +46,7 @@ void ArchGenerator::reset() {
 }
 
 std::size_t ArchGenerator::scaled_width(std::size_t w) const {
-  return std::max<std::size_t>(
-      static_cast<std::size_t>(std::lround(static_cast<double>(w) *
-                                           width_scale_)),
-      8);
+  return util::scaled_width(w, width_scale_);
 }
 
 nn::ArchSpec ArchGenerator::sample_valid_spec() {

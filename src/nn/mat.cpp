@@ -104,8 +104,8 @@ double Mat::frobenius_norm() const {
 // accumulation steps) advance together through independent accumulators,
 // while each OUTPUT ELEMENT still accumulates its own products in exactly
 // the serial order, so results stay bit-identical to the matching
-// one-sample Mat loops (pinned by tests/nn_test.cpp's bitwise comparisons). The loop
-// bodies live in nn/mat_kernels.* in scalar/avx2/fma flavors; these
+// one-sample Mat loops (pinned by tests/nn_test.cpp's bitwise comparisons).
+// The loop bodies live in nn/mat_kernels.* in scalar/avx2 flavors; these
 // wrappers shape-check, tally call volume for the nn.matmul.* metrics,
 // and dispatch to the active flavor.
 

@@ -111,8 +111,7 @@ class Mat {
 //
 // Since the SIMD flavors landed, these wrappers shape-check, account call
 // volume, and dispatch to the active kernel flavor (nn/mat_kernels.h):
-// scalar and avx2 are bit-identical by contract, fma is pinned-divergent
-// and scoped out of scalar journals via the kernel=fma store-scope token.
+// scalar and avx2 are bit-identical by contract.
 
 /// C = A * B with A (n x r) and B (r x m) -> C (n x m). Row i of C is
 /// bit-identical to B.matvec_transposed(row i of A): the r-dimension

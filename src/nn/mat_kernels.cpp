@@ -5,10 +5,9 @@
 #include <stdexcept>
 #include <string>
 
-// NADA_NN_HAVE_AVX2 / NADA_NN_HAVE_FMA are set on this translation unit by
-// CMake exactly when the matching per-flavor object library is compiled in,
-// so the dispatch table can only ever point at code that exists in the
-// binary.
+// NADA_NN_HAVE_AVX2 is set on this translation unit by CMake exactly when
+// the AVX2 object library is compiled in, so the dispatch table can only
+// ever point at code that exists in the binary.
 
 namespace nada::nn {
 
@@ -16,7 +15,6 @@ const char* kernel_flavor_name(KernelFlavor flavor) {
   switch (flavor) {
     case KernelFlavor::kScalar: return "scalar";
     case KernelFlavor::kAvx2: return "avx2";
-    case KernelFlavor::kFma: return "fma";
   }
   return "?";
 }
@@ -24,14 +22,6 @@ const char* kernel_flavor_name(KernelFlavor flavor) {
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-bool cpu_supports_fma() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("fma");
 #else
   return false;
 #endif
@@ -45,20 +35,10 @@ bool built_with_avx2_kernels() {
 #endif
 }
 
-bool built_with_fma_kernels() {
-#if defined(NADA_NN_HAVE_FMA)
-  return true;
-#else
-  return false;
-#endif
-}
-
 KernelFlavor resolve_kernel_flavor(const char* value, bool built_avx2,
-                                   bool built_fma, bool cpu_avx2,
-                                   bool cpu_fma) {
+                                   bool cpu_avx2) {
   if (value == nullptr || *value == '\0') {
-    // Default: the fastest BIT-IDENTICAL flavor available. fma is never a
-    // default — it changes result bits and must be an explicit opt-in.
+    // Default: the fastest flavor available (all flavors are bit-identical).
     return built_avx2 && cpu_avx2 ? KernelFlavor::kAvx2
                                   : KernelFlavor::kScalar;
   }
@@ -78,22 +58,8 @@ KernelFlavor resolve_kernel_flavor(const char* value, bool built_avx2,
     }
     return KernelFlavor::kAvx2;
   }
-  if (v == "fma") {
-    if (!built_fma) {
-      throw std::runtime_error(
-          "NADA_NN_KERNEL=fma requested but this binary was built without "
-          "the FMA kernel objects (non-x86 target or compiler lacking "
-          "-mfma)");
-    }
-    if (!cpu_avx2 || !cpu_fma) {
-      throw std::runtime_error(
-          "NADA_NN_KERNEL=fma requested but this CPU does not report "
-          "AVX2+FMA support");
-    }
-    return KernelFlavor::kFma;
-  }
   throw std::runtime_error(
-      "NADA_NN_KERNEL must be one of scalar|avx2|fma, got \"" + v + "\"");
+      "NADA_NN_KERNEL must be one of scalar|avx2, got \"" + v + "\"");
 }
 
 namespace {
@@ -112,26 +78,12 @@ constexpr KernelTable kAvx2Table = {
 };
 #endif
 
-#if defined(NADA_NN_HAVE_FMA)
-constexpr KernelTable kFmaTable = {
-    detail::fma::matmul,
-    detail::fma::add_matmul_tn,
-    detail::fma::wt_axpy,
-};
-#endif
-
 const KernelTable& table_for(KernelFlavor flavor) {
   switch (flavor) {
     case KernelFlavor::kScalar: return kScalarTable;
     case KernelFlavor::kAvx2:
 #if defined(NADA_NN_HAVE_AVX2)
       return kAvx2Table;
-#else
-      break;
-#endif
-    case KernelFlavor::kFma:
-#if defined(NADA_NN_HAVE_FMA)
-      return kFmaTable;
 #else
       break;
 #endif
@@ -147,9 +99,9 @@ std::atomic<const KernelTable*> g_table{nullptr};
 std::atomic<int> g_flavor{-1};
 
 const KernelTable* resolve_and_publish() {
-  const KernelFlavor flavor = resolve_kernel_flavor(
-      std::getenv("NADA_NN_KERNEL"), built_with_avx2_kernels(),
-      built_with_fma_kernels(), cpu_supports_avx2(), cpu_supports_fma());
+  const KernelFlavor flavor =
+      resolve_kernel_flavor(std::getenv("NADA_NN_KERNEL"),
+                            built_with_avx2_kernels(), cpu_supports_avx2());
   const KernelTable* table = &table_for(flavor);
   g_flavor.store(static_cast<int>(flavor), std::memory_order_relaxed);
   g_table.store(table, std::memory_order_release);
@@ -171,11 +123,6 @@ void set_kernel_flavor(KernelFlavor flavor) {
     throw std::runtime_error(
         "set_kernel_flavor(avx2): this CPU does not report AVX2 support");
   }
-  if (flavor == KernelFlavor::kFma &&
-      (!cpu_supports_avx2() || !cpu_supports_fma())) {
-    throw std::runtime_error(
-        "set_kernel_flavor(fma): this CPU does not report AVX2+FMA support");
-  }
   g_flavor.store(static_cast<int>(flavor), std::memory_order_relaxed);
   g_table.store(table, std::memory_order_release);
 }
@@ -194,13 +141,13 @@ KernelCounters& thread_kernel_counters() {
 // ---- scalar flavor ---------------------------------------------------------
 //
 // The reference kernels: four samples (or four accumulation steps) advance
-// together through independent accumulators. This breaks the single FMA
-// dependency chain that makes matvec latency-bound and cuts weight-matrix
-// traffic by 4x — while each OUTPUT ELEMENT still accumulates its own
-// products in exactly the serial order, so results stay bit-identical to
-// the matching one-sample Mat loops (pinned by tests/nn_test.cpp's bitwise
-// comparisons). The vector flavors map these same accumulators onto SIMD
-// lanes; see mat_kernels_simd.inc.
+// together through independent accumulators. This breaks the single
+// multiply-add dependency chain that makes matvec latency-bound and cuts
+// weight-matrix traffic by 4x — while each OUTPUT ELEMENT still accumulates
+// its own products in exactly the serial order, so results stay
+// bit-identical to the matching one-sample Mat loops (pinned by
+// tests/nn_test.cpp's bitwise comparisons). The avx2 flavor maps these same accumulators onto SIMD
+// lanes; see mat_kernels_avx2.cpp.
 
 namespace detail {
 

@@ -1,7 +1,7 @@
 // Runtime-dispatched kernel flavors for the batched `nn` hot path.
 //
 // The register-tiled double kernels behind matmul/add_matmul_tn and the
-// transposed-weight inference sweep exist in up to three flavors:
+// transposed-weight inference sweep exist in two flavors:
 //
 //   scalar  portable loops; the reference semantics on every platform
 //   avx2    the same 4-sample accumulator tile mapped onto AVX2 lanes with
@@ -9,18 +9,15 @@
 //           by contract (every output element accumulates its products in
 //           exactly the serial order, and an unfused vector lane rounds
 //           exactly like the scalar ALU)
-//   fma     the avx2 tile with fused multiply-add — one rounding per
-//           product-accumulate, so results are PINNED-DIVERGENT: faster
-//           and usually slightly more accurate, but not the scalar bits.
-//           Enabling it folds a `kernel=fma` token into store scopes (the
-//           `sim_rev` convention) so FMA journals never alias scalar ones.
 //
-// The flavor is chosen once per process: `NADA_NN_KERNEL=scalar|avx2|fma`
-// overrides, otherwise the best bit-identical flavor the build and the CPU
-// support (avx2 when available, else scalar — fma is never a default
-// because it changes result bits). An unknown value, or requesting a
-// flavor the build lacks or the CPU cannot run, throws at first dispatch
-// rather than silently falling back. docs/KERNELS.md is the full contract.
+// Because the two are bit-identical, the flavor is an execution knob: it
+// never feeds a store scope and journals are shared across flavors.
+//
+// The flavor is chosen once per process: `NADA_NN_KERNEL=scalar|avx2`
+// overrides, otherwise the best flavor the build and the CPU support (avx2
+// when available, else scalar). An unknown value, or requesting a flavor
+// the build lacks or the CPU cannot run, throws at first dispatch rather
+// than silently falling back. docs/KERNELS.md is the full contract.
 #pragma once
 
 #include <cstddef>
@@ -28,19 +25,16 @@
 
 namespace nada::nn {
 
-enum class KernelFlavor : int { kScalar = 0, kAvx2 = 1, kFma = 2 };
+enum class KernelFlavor : int { kScalar = 0, kAvx2 = 1 };
 
 [[nodiscard]] const char* kernel_flavor_name(KernelFlavor flavor);
 
-/// CPUID feature probes (false on non-x86 builds).
+/// CPUID feature probe (false on non-x86 builds).
 [[nodiscard]] bool cpu_supports_avx2();
-[[nodiscard]] bool cpu_supports_fma();
 
-/// Whether this binary was compiled with the AVX2 / FMA kernel objects
-/// (CMake builds them only when the toolchain targets x86 and accepts
-/// -mavx2 / -mfma).
+/// Whether this binary was compiled with the AVX2 kernel object (CMake
+/// builds it only when the toolchain targets x86 and accepts -mavx2).
 [[nodiscard]] bool built_with_avx2_kernels();
-[[nodiscard]] bool built_with_fma_kernels();
 
 /// The process-wide active flavor. Resolved from NADA_NN_KERNEL on first
 /// call (strict: unknown values and unsatisfiable requests throw) and
@@ -50,12 +44,10 @@ void set_kernel_flavor(KernelFlavor flavor);
 
 /// Pure resolution logic, separated from CPUID/getenv so tests can drive
 /// every branch: `value` is the NADA_NN_KERNEL string (nullptr/empty =
-/// unset), the four booleans are the build and CPU capabilities.
+/// unset), the two booleans are the build and CPU capabilities.
 [[nodiscard]] KernelFlavor resolve_kernel_flavor(const char* value,
                                                  bool built_avx2,
-                                                 bool built_fma,
-                                                 bool cpu_avx2,
-                                                 bool cpu_fma);
+                                                 bool cpu_avx2);
 
 // ---- kernel entry points ---------------------------------------------------
 //
@@ -101,9 +93,9 @@ void add_matmul_tn_scalar(const double* a, const double* b, double* c,
 void wt_axpy_scalar(const double* wt, const double* x, double* z,
                     std::size_t k, std::size_t out);
 
-// Vector flavors; definitions exist only when the matching object library
-// is compiled in (see built_with_*_kernels). Declared unconditionally so
-// the dispatch TU can reference them behind its build-capability macros.
+// AVX2 flavor; the definitions exist only when its object library is
+// compiled in (see built_with_avx2_kernels). Declared unconditionally so
+// the dispatch TU can reference them behind its build-capability macro.
 namespace avx2 {
 void matmul(const double* a, const double* b, double* c, std::size_t n,
             std::size_t r, std::size_t m);
@@ -112,15 +104,6 @@ void add_matmul_tn(const double* a, const double* b, double* c, std::size_t n,
 void wt_axpy(const double* wt, const double* x, double* z, std::size_t k,
              std::size_t out);
 }  // namespace avx2
-
-namespace fma {
-void matmul(const double* a, const double* b, double* c, std::size_t n,
-            std::size_t r, std::size_t m);
-void add_matmul_tn(const double* a, const double* b, double* c, std::size_t n,
-                   std::size_t r, std::size_t m);
-void wt_axpy(const double* wt, const double* x, double* z, std::size_t k,
-             std::size_t out);
-}  // namespace fma
 
 }  // namespace detail
 

@@ -164,6 +164,10 @@ Trainer::Trainer(std::shared_ptr<const env::TaskDomain> domain,
   if (block_size_ == 0) {
     throw std::invalid_argument("Trainer: zero block size");
   }
+  // Resolve NADA_NN_KERNEL here, on the caller's thread: a bad value must
+  // throw to the caller, not surface inside train() where every job's
+  // first kernel call would turn it into a per-job training failure.
+  (void)nn::kernel_flavor();
   eval_indices_ =
       eval_trace_indices(domain_->num_eval_units(), config_.max_eval_traces);
 }

@@ -137,8 +137,10 @@ class Trainer {
   /// rl.probe_blocks / rl.probe_block_candidates, DSL execution volume in
   /// dsl.exec.*, and batched mat-mat kernel volume in nn.matmul.calls /
   /// nn.matmul.flops plus the active flavor in the nn.kernel.flavor gauge
-  /// (0=scalar, 1=avx2, 2=fma). The funnel passes it for the probe stage
-  /// only, so those series describe probe training.
+  /// (0=scalar, 1=avx2). The funnel passes it for the probe stage
+  /// only, so those series describe probe training. Throws
+  /// std::invalid_argument on a degenerate config, and std::runtime_error
+  /// when NADA_NN_KERNEL names a flavor this build or CPU cannot run.
   Trainer(const env::TaskDomain& domain, TrainConfig config,
           std::size_t block_size = 1,
           obs::MetricsRegistry* metrics = nullptr);

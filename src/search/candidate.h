@@ -3,7 +3,7 @@
 // The funnel searches over two kinds of designs — state programs trained
 // on a fixed architecture, and architectures driving a fixed state
 // program. Historically each kind had its own ~200-line code path
-// (Pipeline::search_states / search_archs); CandidateSpec collapses them
+// (search_states / search_archs); CandidateSpec collapses them
 // into one stream the single SearchJob funnel consumes, with the kind
 // deciding only the genuinely kind-specific leaves:
 //

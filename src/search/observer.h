@@ -4,9 +4,9 @@
 // timing) and for every candidate milestone — entered the stream, served
 // from the store cache, failed a check or blew up in training, probed,
 // early-stopped, fully trained, or skipped as out-of-shard. Observers get
-// live progress where the monolithic Pipeline entry points were silent
-// until the final result: CLIs print funnel lines as they happen, tests
-// assert stage coverage, services will export counters.
+// live progress where a blocking search call would be silent until the
+// final result: CLIs print funnel lines as they happen, tests assert stage
+// coverage, services will export counters.
 //
 // Threading: every event fires on the thread that steps the job — pool
 // workers only train and pre-check, and their results are dispatched from

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "filter/checks.h"
-#include "nn/mat_kernels.h"
 #include "obs/scoped_timer.h"
 #include "rl/agent.h"
 #include "util/stats.h"
@@ -148,13 +147,9 @@ store::StoreScope store_scope(const env::TaskDomain& domain,
   // incomparable fresh results. Execution-only knobs (probe_block,
   // window_size) never feed the digest: a job's result does not depend on
   // its lockstep block, so runs at any block size share journals. The NN
-  // kernel flavor is such a knob for scalar and avx2 (bit-identical by
-  // contract) but NOT for fma, whose fused rounding changes result bits —
-  // runs under the fma flavor carry a kernel=fma token so their journals
-  // never alias scalar/avx2 ones.
-  spec << "sim_rev=2;";
-  if (nn::kernel_flavor() == nn::KernelFlavor::kFma) spec << "kernel=fma;";
-  spec << store::canonical_train_config(config.train)
+  // kernel flavor is such a knob too: scalar and avx2 are bit-identical by
+  // contract (docs/KERNELS.md).
+  spec << "sim_rev=2;" << store::canonical_train_config(config.train)
        << ";seeds=" << config.seeds
        << ";early_epochs=" << config.early_epochs
        << ";norm_threshold=" << config.normalization_threshold

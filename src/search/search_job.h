@@ -1,8 +1,7 @@
 // SearchJob: the NADA funnel (Figure 1) as an incrementally steppable job.
 //
 // One job pulls one candidate stream through generate -> pre-check ->
-// probe -> baseline -> select -> full-train -> rank. Unlike the monolithic
-// Pipeline entry points it replaces underneath, a job
+// probe -> baseline -> select -> full-train -> rank. A job
 //
 //   * is steppable: next_stage() executes exactly one stage, so callers
 //     interleave their own work, stop early (shard workers run only
@@ -35,10 +34,11 @@
 //   full_train_top); SearchResult::outcomes holds only the retained
 //   candidates (stream positions travel in CandidateOutcome::stream_index).
 //
-// Bit-identity contract: batch mode matches the historical
-// Pipeline::search_states / search_archs code paths exactly (fingerprints,
-// seed salts, stage order over the store, and selection tie-breaks are all
-// preserved; tests/search_test.cpp pins it). Streaming mode produces the
+// Bit-identity contract: batch mode matches the historical per-kind
+// search_states / search_archs code paths exactly (fingerprints, seed
+// salts, stage order over the store, and selection tie-breaks are all
+// preserved; the rankings and journal digests in tests/golden/ pin it).
+// Streaming mode produces the
 // same rankings and the same store journal records as batch mode for the
 // same seeds — per-candidate seeds are fingerprint-derived, so where the
 // work runs cannot change what it computes; only the journal's line ORDER
@@ -100,8 +100,9 @@ struct JobOptions {
   /// seed) (std::invalid_argument otherwise) and outlive the job.
   store::CandidateStore* store = nullptr;
   util::ThreadPool* pool = nullptr;
-  /// Shared baseline slot: lets several jobs (or a wrapping Pipeline)
-  /// train the original design once. Must outlive the job.
+  /// Shared baseline slot: lets several jobs train the original design
+  /// once (or pass in one trained by train_baseline()). Must outlive the
+  /// job.
   std::optional<rl::SessionResult>* baseline_cache = nullptr;
   /// Restrict execution to one shard of the fingerprint space (worker
   /// mode): candidates outside the slice are skipped and counted in

@@ -1,10 +1,5 @@
-// Shared value types of the search API: the funnel configuration, the
-// per-candidate outcome, and the ranked result.
-//
-// These are the types the historical core::Pipeline surface exposed as
-// PipelineConfig / CandidateOutcome / PipelineResult; core/pipeline.h
-// aliases them, so the two surfaces cannot drift. New code should name
-// them through nada::search.
+// Shared value types of the search API: the funnel configuration (and its
+// paper-scaled preset), the per-candidate outcome, and the ranked result.
 #pragma once
 
 #include <cmath>
@@ -18,6 +13,8 @@
 #include "nn/arch.h"
 #include "rl/session.h"
 #include "rl/trainer.h"
+#include "trace/generator.h"
+#include "util/scale.h"
 
 namespace nada::search {
 
@@ -62,6 +59,16 @@ struct SearchConfig {
 /// 1 <= full_train_top <= num_candidates, seeds >= 1, probe_block >= 1,
 /// early_epochs >= 1. Throws std::invalid_argument.
 void validate_config(const SearchConfig& config);
+
+/// The paper's funnel budgets for `env` — Table 1 epochs and test interval,
+/// 3,000 candidates, 5 seeds, scaled_pensieve_arch() — shrunk by `scale`
+/// (util::ScaleConfig::from_env() for the benches).
+[[nodiscard]] SearchConfig scaled_config(trace::Environment env,
+                                         const util::ScaleConfig& scale);
+
+/// Pensieve's architecture with every tower width scaled by scale.model.
+[[nodiscard]] nn::ArchSpec scaled_pensieve_arch(
+    const util::ScaleConfig& scale);
 
 /// One worker's slice of a sharded search: the job executes (and journals)
 /// only the candidates store::ShardPlan(num_shards) assigns to `shard`;

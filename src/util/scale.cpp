@@ -8,24 +8,6 @@
 
 namespace nada::util {
 
-double env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw) return fallback;
-  return value;
-}
-
-long env_long(const char* name, long fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw) return fallback;
-  return value;
-}
-
 namespace {
 
 /// A scale factor must parse as a positive finite number. Unparseable,
@@ -57,6 +39,7 @@ ScaleConfig ScaleConfig::from_env() {
   cfg.epochs = positive_factor("NADA_SCALE_EPOCHS", 0.12);
   cfg.seeds = positive_factor("NADA_SCALE_SEEDS", 0.6);  // 5 -> 3 seeds
   cfg.traces = positive_factor("NADA_SCALE_TRACES", 0.15);
+  cfg.model = positive_factor("NADA_SCALE_MODEL", 0.25);  // 128 -> 32 units
   return cfg;
 }
 
@@ -68,10 +51,17 @@ std::size_t ScaleConfig::apply(std::size_t paper_value, double factor,
   return std::max(value, min_value);
 }
 
+std::size_t scaled_width(std::size_t width, double factor) {
+  return std::max<std::size_t>(
+      static_cast<std::size_t>(
+          std::lround(static_cast<double>(width) * factor)),
+      8);
+}
+
 std::string ScaleConfig::describe() const {
   std::ostringstream out;
   out << "scale{gen=" << gen << ", epochs=" << epochs << ", seeds=" << seeds
-      << ", traces=" << traces << "}";
+      << ", traces=" << traces << ", model=" << model << "}";
   return out.str();
 }
 

@@ -1,9 +1,9 @@
 // Experiment scaling. The paper trains thousands of designs for tens of
 // thousands of epochs; the benches here must regenerate every table and
 // figure on one machine. ScaleConfig shrinks candidate counts, epoch
-// budgets, seeds, and dataset sizes by multiplicative factors read from
-// environment variables. Setting every factor to 1.0 reproduces the
-// paper-scale workload.
+// budgets, seeds, dataset sizes, and network widths by multiplicative
+// factors read from environment variables. Setting every factor to 1.0
+// reproduces the paper-scale workload.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +20,13 @@ struct ScaleConfig {
   double seeds = 1.0;
   /// Multiplier on trace-dataset sizes (paper: Table 1 counts).
   double traces = 1.0;
+  /// Multiplier on network layer widths (paper: Pensieve's 128-wide towers).
+  double model = 1.0;
 
   /// Reads NADA_SCALE_GEN / NADA_SCALE_EPOCHS / NADA_SCALE_SEEDS /
-  /// NADA_SCALE_TRACES, falling back to bench-friendly defaults tuned so a
-  /// full `for b in build/bench/*; do $b; done` finishes in minutes.
+  /// NADA_SCALE_TRACES / NADA_SCALE_MODEL, falling back to bench-friendly
+  /// defaults tuned so a full `for b in build/bench/*; do $b; done`
+  /// finishes in minutes.
   /// Throws std::runtime_error when a variable is set to anything that is
   /// not a positive finite number — including unparseable text (which
   /// would otherwise silently run the workload at the default size).
@@ -54,10 +57,9 @@ struct ScaleConfig {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Reads a double env var; returns fallback if unset or unparsable.
-double env_double(const char* name, double fallback);
-
-/// Reads an integer env var; returns fallback if unset or unparsable.
-long env_long(const char* name, long fallback);
+/// A layer width scaled by `factor`, rounded to nearest, never below 8
+/// units: the one width-scaling rule for benches and generated
+/// architectures.
+[[nodiscard]] std::size_t scaled_width(std::size_t width, double factor);
 
 }  // namespace nada::util

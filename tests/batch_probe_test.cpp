@@ -2,8 +2,8 @@
 // only on its (design, seed) — never on the lockstep block size, the pool,
 // or the other jobs sharing its block — and matches, bit for bit, the
 // golden results in tests/golden/train_results.txt, recorded from the
-// single-sample trainer this engine replaced. The pipeline's probe stage
-// journals the same records at any block size.
+// single-sample trainer this engine replaced. The search funnel's probe
+// stage journals the same records at any block size.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,11 +11,12 @@
 #include <string>
 #include <utility>
 
-#include "core/pipeline.h"
 #include "golden.h"
 #include "dsl/state_program.h"
+#include "env/abr_domain.h"
 #include "gen/state_gen.h"
 #include "rl/trainer.h"
+#include "search/search_job.h"
 #include "store/candidate_store.h"
 #include "trace/generator.h"
 #include "util/thread_pool.h"
@@ -237,7 +238,7 @@ TEST(Trainer, RejectsDegenerateConfig) {
   EXPECT_THROW((void)trainer.train(null_job), std::invalid_argument);
 }
 
-// ---- pipeline-level equivalence ---------------------------------------------
+// ---- search-level equivalence -----------------------------------------------
 
 class TempStoreDir {
  public:
@@ -256,12 +257,13 @@ class TempStoreDir {
   std::string path_;
 };
 
-TEST(PipelineProbeBlock, BlockSizeLeavesOutcomesAndJournalsUnchanged) {
+TEST(SearchProbeBlock, BlockSizeLeavesOutcomesAndJournalsUnchanged) {
   const auto dataset = tiny_dataset(21);
   const auto video = video::make_test_video(video::pensieve_ladder(), 5);
+  const env::AbrDomain domain(dataset, video);
   util::ThreadPool pool(2);
 
-  core::PipelineConfig config;
+  search::SearchConfig config;
   config.num_candidates = 14;
   config.early_epochs = 6;
   config.full_train_top = 2;
@@ -271,14 +273,17 @@ TEST(PipelineProbeBlock, BlockSizeLeavesOutcomesAndJournalsUnchanged) {
 
   TempStoreDir dir;
   auto run = [&](std::size_t probe_block, const std::string& journal) {
-    core::PipelineConfig c = config;
+    search::SearchConfig c = config;
     c.probe_block = probe_block;
-    core::Pipeline pipeline(dataset, video, c, 424242, &pool);
-    store::CandidateStore store(dir.file(journal), pipeline.store_scope());
-    pipeline.attach_store(&store);
+    store::CandidateStore store(dir.file(journal),
+                                search::store_scope(domain, c, 424242));
     gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                   99);
-    auto result = pipeline.search_states(generator, config.baseline_arch);
+    search::StateCandidateSource source(generator);
+    auto result = search::SearchJob(domain, c, 424242, source,
+                                    {nullptr, &config.baseline_arch},
+                                    {.store = &store, .pool = &pool})
+                      .run_to_completion();
     return std::make_pair(std::move(result), store.records());
   };
 

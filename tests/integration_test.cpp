@@ -1,5 +1,5 @@
 // End-to-end integration tests crossing every module boundary:
-// generator -> DSL -> checks -> env -> nn -> rl -> pipeline, plus
+// generator -> DSL -> checks -> env -> nn -> rl -> search, plus
 // determinism and failure-injection properties that only show up when the
 // whole stack runs together.
 #include <gtest/gtest.h>
@@ -7,13 +7,17 @@
 #include <cmath>
 
 #include "abr/policies.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "filter/checks.h"
+#include "gen/arch_gen.h"
+#include "gen/state_gen.h"
+#include "search/search_job.h"
 
 namespace nada {
 namespace {
 
-core::PipelineConfig small_config() {
-  core::PipelineConfig config;
+search::SearchConfig small_config() {
+  search::SearchConfig config;
   config.num_candidates = 30;
   config.early_epochs = 12;
   config.full_train_top = 2;
@@ -28,6 +32,20 @@ core::PipelineConfig small_config() {
   return config;
 }
 
+/// One blocking state search over the ABR domain of (dataset, video).
+search::SearchResult search_states(const trace::Dataset& dataset,
+                                   const video::Video& video,
+                                   const search::SearchConfig& config,
+                                   std::uint64_t seed,
+                                   gen::StateGenerator& generator,
+                                   util::ThreadPool* pool) {
+  const env::AbrDomain domain(dataset, video);
+  search::StateCandidateSource source(generator);
+  return search::SearchJob(domain, config, seed, source,
+                           {nullptr, &config.baseline_arch}, {.pool = pool})
+      .run_to_completion();
+}
+
 TEST(Integration, FullStateSearchIsDeterministicForSeed) {
   const trace::Dataset dataset =
       trace::build_dataset(trace::Environment::kFcc, 0.03, 5);
@@ -35,10 +53,10 @@ TEST(Integration, FullStateSearchIsDeterministicForSeed) {
       video::make_test_video(video::pensieve_ladder(), 5);
 
   auto run = [&] {
-    core::Pipeline pipeline(dataset, video, small_config(), 42, nullptr);
     gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                   9);
-    return pipeline.search_states(generator, small_config().baseline_arch);
+    return search_states(dataset, video, small_config(), 42, generator,
+                         nullptr);
   };
   const auto a = run();
   const auto b = run();
@@ -49,20 +67,18 @@ TEST(Integration, FullStateSearchIsDeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.original_score, b.original_score);
 }
 
-TEST(Integration, ParallelPipelineMatchesSerial) {
+TEST(Integration, ParallelSearchMatchesSerial) {
   const trace::Dataset dataset =
       trace::build_dataset(trace::Environment::kStarlink, 0.1, 6);
   const video::Video video =
       video::make_test_video(video::pensieve_ladder(), 6);
 
-  core::Pipeline serial(dataset, video, small_config(), 7, nullptr);
   gen::StateGenerator g1(gen::gpt4_profile(), gen::PromptStrategy{}, 3);
-  const auto a = serial.search_states(g1, small_config().baseline_arch);
+  const auto a = search_states(dataset, video, small_config(), 7, g1, nullptr);
 
   util::ThreadPool pool(8);
-  core::Pipeline parallel(dataset, video, small_config(), 7, &pool);
   gen::StateGenerator g2(gen::gpt4_profile(), gen::PromptStrategy{}, 3);
-  const auto b = parallel.search_states(g2, small_config().baseline_arch);
+  const auto b = search_states(dataset, video, small_config(), 7, g2, &pool);
 
   EXPECT_EQ(a.n_compiled, b.n_compiled);
   EXPECT_EQ(a.n_normalized, b.n_normalized);
@@ -76,11 +92,10 @@ TEST(Integration, GeneratedWinnerIsARunnableProgram) {
   const video::Video video =
       video::make_test_video(video::pensieve_ladder(), 8);
   util::ThreadPool pool(8);
-  core::Pipeline pipeline(dataset, video, small_config(), 11, &pool);
   gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                 21);
   const auto result =
-      pipeline.search_states(generator, small_config().baseline_arch);
+      search_states(dataset, video, small_config(), 11, generator, &pool);
   ASSERT_TRUE(result.has_best());
   // The winning source must recompile and pass both checks from scratch.
   std::optional<dsl::StateProgram> program;
@@ -182,13 +197,16 @@ TEST(Integration, ArchSearchWinnersReinstantiate) {
   const video::Video video =
       video::make_test_video(video::pensieve_ladder(), 29);
   util::ThreadPool pool(8);
-  core::PipelineConfig config = small_config();
+  search::SearchConfig config = small_config();
   config.num_candidates = 25;
-  core::Pipeline pipeline(dataset, video, config, 31, &pool);
+  const env::AbrDomain domain(dataset, video);
   gen::ArchGenerator generator(gen::gpt35_profile(), gen::PromptStrategy{},
                                41, 0.1);
+  search::ArchCandidateSource source(generator);
   const auto state = dsl::StateProgram::compile(dsl::pensieve_state_source());
-  const auto result = pipeline.search_archs(generator, state);
+  const auto result = search::SearchJob(domain, config, 31, source,
+                                        {&state, nullptr}, {.pool = &pool})
+                          .run_to_completion();
   if (result.has_best()) {
     const auto& best = result.outcomes[result.best_index];
     ASSERT_TRUE(best.arch.has_value());

@@ -1,11 +1,15 @@
 // Tests for the composable search API (src/search/):
 //
-//   * bit-identity: core::Pipeline's entry points are a thin wrapper over
-//     search::SearchJob — same seeds produce byte-identical store journals
-//     and identical rankings through either surface, for state and arch
-//     searches (the backward-compatible-upgrade contract),
+//   * config validation: every degenerate SearchConfig is rejected up
+//     front with a message naming the bad field; scaled_config() applies
+//     the scale factors to the paper's budgets,
 //   * stage stepping: next_stage() walks the documented stage order and a
 //     stepped job equals a run_to_completion() job,
+//   * funnel accounting: every candidate's outcome agrees with the result
+//     counters, and probed-but-unselected candidates are early-stopped,
+//   * early stopping and the shared baseline: a model that stops every
+//     probe trains nothing, and jobs sharing a baseline slot train the
+//     original design once,
 //   * observer coverage: every stage fires start/finish with a timing, and
 //     every candidate milestone (entered / cached / failed / probed /
 //     early-stopped / trained) is represented — no funnel transition goes
@@ -13,8 +17,8 @@
 //   * sharding: a 4-shard worker pass + merge_and_rank equals the
 //     single-process run — identical rankings and identical journal
 //     records (the multi-process driver's correctness pin),
-//   * resume folding: SearchJob::resume() behaves like the historical
-//     resume_* twins,
+//   * resume folding: SearchJob::resume() serves every journaled stage and
+//     reproduces the uninterrupted result,
 //   * unified candidates: one job can carry state-program and architecture
 //     candidates in the same stream.
 #include <gtest/gtest.h>
@@ -25,7 +29,10 @@
 #include <set>
 #include <sstream>
 
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "filter/earlystop.h"
+#include "gen/arch_gen.h"
+#include "gen/state_gen.h"
 #include "search/candidate.h"
 #include "search/observer.h"
 #include "search/search_job.h"
@@ -95,68 +102,132 @@ void expect_same_result(const SearchResult& a, const SearchResult& b) {
   }
 }
 
-// ---- wrapper bit-identity ---------------------------------------------------
+/// Per-outcome funnel accounting: the counters agree with the outcomes,
+/// every candidate sits in one consistent terminal state, and anything
+/// probed but not fully trained was early-stopped.
+void expect_consistent_accounting(const SearchResult& result,
+                                  const SearchConfig& config) {
+  EXPECT_EQ(result.n_total, config.num_candidates);
+  EXPECT_EQ(result.outcomes.size(), config.num_candidates);
+  EXPECT_LE(result.n_compiled, result.n_total);
+  EXPECT_LE(result.n_normalized, result.n_compiled);
+  EXPECT_LE(result.n_fully_trained, config.full_train_top);
+  EXPECT_GT(result.n_fully_trained, 0u);
+  EXPECT_TRUE(result.has_best());
+  EXPECT_GT(result.best_score, -1e8);
+  EXPECT_FALSE(result.original.failed);
 
-TEST(SearchJobEquivalence, StateSearchMatchesPipelineWrapperBitForBit) {
-  Fixture fx;
-  const SearchConfig config = tiny_config();
-
-  // Through the compatibility wrapper.
-  const std::string wrapper_path = fresh_path("wrap_state");
-  core::Pipeline pipeline(fx.dataset, fx.video, config, 1234, &fx.pool);
-  store::CandidateStore wrapper_store(wrapper_path, pipeline.store_scope());
-  pipeline.attach_store(&wrapper_store);
-  gen::StateGenerator gen1(gen::gpt4_profile(), gen::PromptStrategy{}, 77);
-  const auto via_wrapper = pipeline.search_states(gen1, config.baseline_arch);
-
-  // Directly through a SearchJob.
-  const std::string direct_path = fresh_path("direct_state");
-  store::CandidateStore direct_store(
-      direct_path, store_scope(fx.domain, config, 1234));
-  gen::StateGenerator gen2(gen::gpt4_profile(), gen::PromptStrategy{}, 77);
-  StateCandidateSource source(gen2);
-  JobOptions options;
-  options.store = &direct_store;
-  options.pool = &fx.pool;
-  SearchJob job(fx.domain, config, 1234, source,
-                FixedDesign{nullptr, &config.baseline_arch}, options);
-  const auto direct = job.run_to_completion();
-
-  expect_same_result(via_wrapper, direct);
-  // The journals must match byte for byte: the wrapper adds nothing and
-  // loses nothing on the way to the store.
-  EXPECT_EQ(util::read_file(wrapper_path), util::read_file(direct_path));
+  std::size_t compiled = 0, normalized = 0, probed = 0, trained = 0;
+  for (const auto& o : result.outcomes) {
+    if (o.compiled) ++compiled;
+    if (o.compiled && o.normalized) ++normalized;
+    if (o.early_probed) ++probed;
+    if (o.fully_trained) {
+      ++trained;
+      EXPECT_TRUE(o.early_probed) << o.id;
+      EXPECT_FALSE(o.early_stopped) << o.id;
+      EXPECT_FALSE(o.median_curve.empty()) << o.id;
+    }
+    if (o.early_probed && !o.fully_trained) {
+      EXPECT_TRUE(o.early_stopped) << o.id;
+    }
+    if (!o.compiled) {
+      EXPECT_FALSE(o.compile_error.empty()) << o.id;
+      EXPECT_FALSE(o.fully_trained) << o.id;
+    }
+  }
+  EXPECT_EQ(compiled, result.n_compiled);
+  EXPECT_EQ(normalized, result.n_normalized);
+  EXPECT_EQ(trained, result.n_fully_trained);
+  EXPECT_EQ(result.n_early_stopped, probed - result.n_fully_trained);
 }
 
-TEST(SearchJobEquivalence, ArchSearchMatchesPipelineWrapperBitForBit) {
+// ---- config validation ------------------------------------------------------
+
+TEST(SearchConfigValidation, RejectsDegenerateConfigsWithDescriptiveErrors) {
   Fixture fx;
-  SearchConfig config = tiny_config();
-  config.num_candidates = 20;
-  const auto state = dsl::StateProgram::compile(dsl::pensieve_state_source());
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                1);
+  StateCandidateSource source(generator);
+  auto make_job = [&](const SearchConfig& config) {
+    SearchJob job(fx.domain, config, 1, source,
+                  FixedDesign{nullptr, &config.baseline_arch});
+  };
+  auto expect_rejected = [&](SearchConfig config, const std::string& needle) {
+    try {
+      make_job(config);
+      FAIL() << "config with bad " << needle << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  SearchConfig no_candidates = tiny_config();
+  no_candidates.num_candidates = 0;
+  expect_rejected(no_candidates, "num_candidates");
 
-  const std::string wrapper_path = fresh_path("wrap_arch");
-  core::Pipeline pipeline(fx.dataset, fx.video, config, 555, &fx.pool);
-  store::CandidateStore wrapper_store(wrapper_path, pipeline.store_scope());
-  pipeline.attach_store(&wrapper_store);
-  gen::ArchGenerator gen1(gen::gpt35_profile(), gen::PromptStrategy{}, 99,
-                          0.25);
-  const auto via_wrapper = pipeline.search_archs(gen1, state);
+  SearchConfig no_top = tiny_config();
+  no_top.full_train_top = 0;
+  expect_rejected(no_top, "full_train_top");
 
-  const std::string direct_path = fresh_path("direct_arch");
-  store::CandidateStore direct_store(direct_path,
-                                     store_scope(fx.domain, config, 555));
-  gen::ArchGenerator gen2(gen::gpt35_profile(), gen::PromptStrategy{}, 99,
-                          0.25);
-  ArchCandidateSource source(gen2);
-  JobOptions options;
-  options.store = &direct_store;
-  options.pool = &fx.pool;
-  SearchJob job(fx.domain, config, 555, source,
-                FixedDesign{&state, nullptr}, options);
-  const auto direct = job.run_to_completion();
+  SearchConfig top_heavy = tiny_config();
+  top_heavy.num_candidates = 4;
+  top_heavy.full_train_top = 5;
+  expect_rejected(top_heavy, "full_train_top");
 
-  expect_same_result(via_wrapper, direct);
-  EXPECT_EQ(util::read_file(wrapper_path), util::read_file(direct_path));
+  SearchConfig no_seeds = tiny_config();
+  no_seeds.seeds = 0;
+  expect_rejected(no_seeds, "seeds");
+
+  SearchConfig no_block = tiny_config();
+  no_block.probe_block = 0;
+  expect_rejected(no_block, "probe_block");
+
+  SearchConfig no_probe = tiny_config();
+  no_probe.early_epochs = 0;
+  expect_rejected(no_probe, "early_epochs");
+
+  // Boundary cases stay legal.
+  SearchConfig exact = tiny_config();
+  exact.num_candidates = exact.full_train_top = 3;
+  exact.probe_block = 1;
+  EXPECT_NO_THROW(make_job(exact));
+}
+
+TEST(ScaledConfig, RespectsScaleFactors) {
+  util::ScaleConfig scale;
+  scale.gen = 0.01;
+  scale.epochs = 0.01;
+  scale.seeds = 0.6;
+  scale.model = 0.25;
+  const SearchConfig config = scaled_config(trace::Environment::kFcc, scale);
+  EXPECT_EQ(config.num_candidates, 30u);  // 3000 * 0.01
+  EXPECT_EQ(config.train.epochs, 400u);   // 40000 * 0.01
+  EXPECT_EQ(config.seeds, 3u);            // 5 * 0.6
+  EXPECT_GE(config.early_epochs, config.train.epochs / 4);
+  // Pensieve's 128-wide towers at a quarter width.
+  EXPECT_EQ(config.baseline_arch.conv_filters, 32u);
+  EXPECT_EQ(config.baseline_arch.merge_hidden, 32u);
+}
+
+TEST(ScaledConfig, StarlinkKeepsSmallerBudget) {
+  util::ScaleConfig scale;
+  scale.epochs = 0.05;
+  const SearchConfig fcc = scaled_config(trace::Environment::kFcc, scale);
+  const SearchConfig starlink =
+      scaled_config(trace::Environment::kStarlink, scale);
+  EXPECT_LT(starlink.train.epochs, fcc.train.epochs);
+}
+
+TEST(ScaledConfig, PaperScaleReproducesPaperBudgets) {
+  util::ScaleConfig scale;
+  scale.gen = scale.epochs = scale.seeds = scale.traces = scale.model = 1.0;
+  const SearchConfig config = scaled_config(trace::Environment::k4G, scale);
+  EXPECT_EQ(config.num_candidates, 3000u);
+  EXPECT_EQ(config.train.epochs, 40000u);
+  EXPECT_EQ(config.seeds, 5u);
+  EXPECT_EQ(config.baseline_arch.conv_filters,
+            nn::ArchSpec::pensieve().conv_filters);
 }
 
 // ---- stage stepping ---------------------------------------------------------
@@ -211,6 +282,70 @@ TEST(SearchJobStepping, SteppedJobEqualsRunToCompletion) {
                   FixedDesign{nullptr, &config.baseline_arch}, options);
   const auto result = whole.run_to_completion();
   expect_same_result(stepped.result(), result);
+  expect_consistent_accounting(result, config);
+}
+
+// ---- early stopping and the shared baseline ---------------------------------
+
+TEST(SearchJobEarlyStop, ModelThatStopsEverythingTrainsNothing) {
+  Fixture fx;
+  const SearchConfig config = tiny_config();
+
+  // A heuristic model with an absurdly high threshold stops every probe;
+  // the job must then fully train nothing.
+  filter::EarlyStopConfig es_config;
+  filter::EarlyStopModel model(filter::EarlyStopMethod::kHeuristicMax,
+                               es_config, 1);
+  std::vector<filter::DesignRecord> fake_corpus;
+  for (int i = 0; i < 10; ++i) {
+    filter::DesignRecord r;
+    r.id = std::to_string(i);
+    r.final_score = i == 0 ? 1e8 : static_cast<double>(i);
+    r.early_rewards = {0.0, i == 0 ? 1e9 : 1.0};
+    fake_corpus.push_back(r);
+  }
+  model.fit(fake_corpus);  // threshold ~1e9: nothing real survives
+
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                11);
+  StateCandidateSource source(generator);
+  JobOptions options;
+  options.early_stop_model = &model;
+  options.pool = &fx.pool;
+  SearchJob job(fx.domain, config, 888, source,
+                FixedDesign{nullptr, &config.baseline_arch}, options);
+  const auto result = job.run_to_completion();
+  EXPECT_EQ(result.n_fully_trained, 0u);
+  EXPECT_EQ(result.n_full_trains_run, 0u);
+  EXPECT_FALSE(result.has_best());
+  EXPECT_GT(result.n_early_stopped, 0u);
+}
+
+TEST(SearchJobBaseline, SharedSlotTrainsTheBaselineOnce) {
+  Fixture fx;
+  const SearchConfig config = tiny_config();
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                7);
+  StateCandidateSource source(generator);
+  std::optional<rl::SessionResult> baseline;
+  JobOptions options;
+  options.pool = &fx.pool;
+  options.baseline_cache = &baseline;
+
+  SearchJob first(fx.domain, config, 777, source,
+                  FixedDesign{nullptr, &config.baseline_arch}, options);
+  const rl::SessionResult& trained = first.original_baseline();
+  ASSERT_TRUE(baseline.has_value());
+  EXPECT_EQ(&trained, &*baseline);
+  EXPECT_FALSE(trained.failed);
+
+  // A second job on the same slot serves it as is: a marker planted in the
+  // slot comes back, so nothing was retrained.
+  baseline->test_score = 12345.0;
+  SearchJob second(fx.domain, config, 777, source,
+                   FixedDesign{nullptr, &config.baseline_arch}, options);
+  EXPECT_EQ(&second.original_baseline(), &*baseline);
+  EXPECT_EQ(second.original_baseline().test_score, 12345.0);
 }
 
 // ---- observer coverage ------------------------------------------------------
@@ -373,7 +508,7 @@ TEST(ShardRunnerTest, MergeAndRankSurfacesMissingWorkerJournal) {
 
 // ---- resume folding ---------------------------------------------------------
 
-TEST(SearchJobResume, ResumeServesJournaledStagesAndMatchesPipeline) {
+TEST(SearchJobResume, ResumeServesJournaledStagesAndMatchesColdRun) {
   Fixture fx;
   const SearchConfig config = tiny_config();
   const std::string path = fresh_path("resume");
@@ -388,6 +523,7 @@ TEST(SearchJobResume, ResumeServesJournaledStagesAndMatchesPipeline) {
                   FixedDesign{nullptr, &config.baseline_arch}, options);
   const auto cold = first.run_to_completion();
   EXPECT_GT(cold.n_probes_run, 0u);
+  expect_consistent_accounting(cold, config);
 
   // resume() rewinds the (already consumed) source itself.
   SearchJob resumed(fx.domain, config, 4321, source,

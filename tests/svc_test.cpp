@@ -430,9 +430,15 @@ TEST(WorkerExitCodes, UsageRuntimeAndInjectedCrashAreDistinct) {
   EXPECT_EQ(run_to_exit({bin, "--mode", "worker", "--journal", dir + "/j",
                          "--range-lo", "zz", "--range-hi", "ff"}),
             2);  // malformed hex
-  // Runtime failure: an unwritable store directory.
+  // Runtime failures: an unwritable store directory, and a kernel flavor
+  // this build does not have (which must stop the run, not fail every
+  // training job one by one).
   EXPECT_EQ(run_to_exit({bin, "--mode", "single", "--quiet", "--candidates",
                          "4", "--store-dir", "/dev/null/nope"}),
+            1);
+  EXPECT_EQ(run_to_exit({"/usr/bin/env", "NADA_NN_KERNEL=fma", bin, "--mode",
+                         "single", "--quiet", "--candidates", "4",
+                         "--store-dir", dir + "/kernel"}),
             1);
   // Injected crash: the test-only fault flag's hard _exit mid-append.
   EXPECT_EQ(run_to_exit({bin, "--mode", "worker", "--quiet",

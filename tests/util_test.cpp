@@ -470,30 +470,41 @@ TEST(Scale, ApplyRespectsFloor) {
   EXPECT_EQ(ScaleConfig::apply(1000, 0.001, 5), 5u);
   EXPECT_EQ(ScaleConfig::apply(1000, 0.5, 1), 500u);
   EXPECT_EQ(ScaleConfig::apply(1000, 0.0, 3), 3u);
+  // Widths round to nearest (half away from zero) with a floor of 8 units.
+  EXPECT_EQ(scaled_width(128, 0.25), 32u);
+  EXPECT_EQ(scaled_width(100, 0.125), 13u);
+  EXPECT_EQ(scaled_width(16, 0.25), 8u);
 }
 
 TEST(Scale, IdentityAtFull) {
   ScaleConfig s;
-  s.gen = s.epochs = s.seeds = s.traces = 1.0;
+  s.gen = s.epochs = s.seeds = s.traces = s.model = 1.0;
   EXPECT_EQ(s.gen_count(3000), 3000u);
   EXPECT_EQ(s.epoch_count(40000), 40000u);
   EXPECT_EQ(s.seed_count(5), 5u);
-}
-
-TEST(Scale, EnvDoubleFallback) {
-  ::unsetenv("NADA_TEST_ENV_VAR");
-  EXPECT_DOUBLE_EQ(env_double("NADA_TEST_ENV_VAR", 2.5), 2.5);
-  ::setenv("NADA_TEST_ENV_VAR", "0.125", 1);
-  EXPECT_DOUBLE_EQ(env_double("NADA_TEST_ENV_VAR", 2.5), 0.125);
-  ::setenv("NADA_TEST_ENV_VAR", "garbage", 1);
-  EXPECT_DOUBLE_EQ(env_double("NADA_TEST_ENV_VAR", 2.5), 2.5);
-  ::unsetenv("NADA_TEST_ENV_VAR");
+  EXPECT_EQ(scaled_width(128, s.model), 128u);
 }
 
 TEST(Scale, DescribeMentionsFactors) {
   ScaleConfig s;
   s.gen = 0.25;
   EXPECT_NE(s.describe().find("0.25"), std::string::npos);
+  s.model = 0.125;
+  EXPECT_NE(s.describe().find("model=0.125"), std::string::npos);
+}
+
+TEST(Scale, FromEnvValidatesModelFactor) {
+  // NADA_SCALE_MODEL sizes every bench network: nan and inf would make
+  // 2^63-unit layers, -1 wraps to 2^64-128 units, and unparseable text
+  // would silently run at the default width.
+  for (const char* bad : {"nan", "inf", "-1", "0", "abc"}) {
+    ::setenv("NADA_SCALE_MODEL", bad, 1);
+    EXPECT_THROW(ScaleConfig::from_env(), std::runtime_error) << bad;
+  }
+  ::setenv("NADA_SCALE_MODEL", "0.5", 1);
+  EXPECT_DOUBLE_EQ(ScaleConfig::from_env().model, 0.5);
+  ::unsetenv("NADA_SCALE_MODEL");
+  EXPECT_DOUBLE_EQ(ScaleConfig::from_env().model, 0.25);
 }
 
 TEST(Scale, FromEnvRejectsNonPositiveAndNaNFactors) {
