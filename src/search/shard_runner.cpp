@@ -30,14 +30,14 @@ std::string ShardRunner::shard_store_path(std::size_t shard) const {
          scope_.config_digest.substr(0, 12) + "-shard-" +
          std::to_string(shard) + "-of-" +
          std::to_string(shards_.num_shards) +
-         store::journal_extension(store::store_format_from_env());
+         store::kJournalExtension;
 }
 
 std::string ShardRunner::merged_store_path() const {
   return shards_.store_dir + "/" + scope_.env + "-" +
          scope_.config_digest.substr(0, 12) + "-merged-" +
          std::to_string(shards_.num_shards) +
-         store::journal_extension(store::store_format_from_env());
+         store::kJournalExtension;
 }
 
 std::string ShardRunner::worker_status_path(std::size_t shard) const {

@@ -10,8 +10,6 @@
 #include "obs/scoped_timer.h"
 #include "store/record_codec.h"
 #include "util/fs.h"
-#include "util/json.h"
-#include "util/strings.h"
 
 namespace nada::store {
 namespace {
@@ -42,68 +40,43 @@ const char* stage_name(Stage stage) {
   return "?";
 }
 
-StoreFormat store_format_from_env() {
-  const char* raw = std::getenv("NADA_STORE_FORMAT");
-  if (raw == nullptr || *raw == '\0') return StoreFormat::kJsonl;
-  const std::string value = util::to_lower(raw);
-  if (value == "jsonl") return StoreFormat::kJsonl;
-  if (value == "binary") return StoreFormat::kBinary;
-  // A typo must not silently run a long search on the wrong format.
-  throw std::runtime_error(
-      "NADA_STORE_FORMAT must be 'jsonl' or 'binary', got '" +
-      std::string(raw) + "'");
+void require_journal_path(const std::string& path, std::string_view caller) {
+  if (path.ends_with(kJournalExtension)) return;
+  throw std::invalid_argument(
+      std::string(caller) + ": " + path + " is not a store journal (" +
+      kJournalExtension + "); convert a JSONL journal with tools/store_convert "
+      "--in <journal>.jsonl --out <journal>" + kJournalExtension);
 }
 
-const char* journal_extension(StoreFormat format) {
-  return format == StoreFormat::kBinary ? ".nsb" : ".jsonl";
-}
+StoreFormat store_format_from_env() { return StoreFormat::kBinary; }
 
-StoreFormat format_for_path(std::string_view path) {
-  return path.ends_with(".nsb") ? StoreFormat::kBinary : StoreFormat::kJsonl;
-}
+const char* journal_extension(StoreFormat) { return kJournalExtension; }
 
 CandidateStore::CandidateStore(std::string path, StoreScope scope)
-    : path_(std::move(path)), scope_(std::move(scope)),
-      format_(format_for_path(path_)) {
+    : path_(std::move(path)), scope_(std::move(scope)) {
+  require_journal_path(path_, "CandidateStore");
   if (scope_.env.empty() || scope_.config_digest.empty()) {
     throw std::invalid_argument("CandidateStore: empty scope");
   }
   util::ensure_directories(util::parent_directory(path_));
-  if (format_ == StoreFormat::kJsonl) {
-    const bool torn_tail = load();
-    out_.open(path_, std::ios::binary | std::ios::app);
-    if (!out_) {
-      throw std::runtime_error("CandidateStore: cannot open " + path_ +
-                               " for append");
-    }
-    if (torn_tail) {
-      // The journal ends mid-line (crash during an append). Terminate the
-      // torn line so the next record starts clean; the fragment itself
-      // stays behind as one skipped line.
-      out_ << '\n';
-      out_.flush();
-    }
-  } else {
-    const bool fresh_index = load_binary();
-    open_append_handle();
-    if (fresh_index) {
-      // Recovery scanned records the sidecar did not cover; persist so the
-      // next open is O(index) again. Loud: an unwritable sidecar here
-      // means every future open pays a full rescan.
-      persist_index_locked();
-    }
+  const bool fresh_index = load();
+  open_append_handle();
+  if (fresh_index) {
+    // Recovery scanned records the sidecar did not cover; persist so the
+    // next open is O(index) again. Loud: an unwritable sidecar here means
+    // every future open pays a full rescan.
+    persist_index_locked();
   }
 }
 
 CandidateStore::~CandidateStore() {
-  if (format_ == StoreFormat::kBinary && index_dirty_) {
-    // Best-effort: the sidecar is a cache, and a failed write here only
-    // costs the next open a tail scan.
-    try {
-      std::lock_guard lock(mutex_);
-      persist_index_locked();
-    } catch (...) {  // NOLINT(bugprone-empty-catch)
-    }
+  if (!index_dirty_) return;
+  // Best-effort: the sidecar is a cache, and a failed write here only costs
+  // the next open a tail scan.
+  try {
+    std::lock_guard lock(mutex_);
+    persist_index_locked();
+  } catch (...) {  // NOLINT(bugprone-empty-catch)
   }
 }
 
@@ -136,33 +109,6 @@ void CandidateStore::open_append_handle() {
 }
 
 bool CandidateStore::load() {
-  const auto content = util::read_file_if_exists(path_);
-  if (!content.has_value()) return false;
-  bool torn_tail = false;
-  std::size_t start = 0;
-  while (start < content->size()) {
-    std::size_t end = content->find('\n', start);
-    if (end == std::string::npos) {  // no trailing newline: torn append
-      end = content->size();
-      torn_tail = true;
-    }
-    const std::string line = content->substr(start, end - start);
-    start = end + 1;
-    if (util::trim(line).empty()) continue;
-    auto record = decode_line(line, scope_);
-    if (record.has_value()) {
-      put_locked(*record);
-    } else {
-      // Torn final line after a crash, or foreign/corrupt data: recover by
-      // skipping. Everything before a torn line is intact because appends
-      // are single buffered writes followed by a flush.
-      ++line_errors_;
-    }
-  }
-  return torn_tail;
-}
-
-bool CandidateStore::load_binary() {
   std::error_code ec;
   const auto raw_size = std::filesystem::file_size(path_, ec);
   if (ec) return false;  // missing: open_append_handle creates it
@@ -303,7 +249,6 @@ std::size_t CandidateStore::rebuild_index_locked() {
 }
 
 std::size_t CandidateStore::rebuild_index() {
-  if (format_ != StoreFormat::kBinary) return 0;
   std::lock_guard lock(mutex_);
   return rebuild_index_locked();
 }
@@ -355,7 +300,7 @@ void CandidateStore::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_.store(metrics, std::memory_order_release);
 }
 
-std::optional<CandidateStore::DeltaEntry> CandidateStore::binary_entry_locked(
+std::optional<CandidateStore::DeltaEntry> CandidateStore::entry_locked(
     const Fingerprint& fp) const {
   const auto it = delta_.find(fp.hex());
   if (it != delta_.end()) return it->second;
@@ -411,35 +356,14 @@ std::optional<OutcomeRecord> CandidateStore::lookup(
   obs::ScopedTimer timer(obs::maybe_histogram(metrics, "store.lookup.seconds"));
   std::lock_guard lock(mutex_);
   std::optional<OutcomeRecord> result;
-  bool hit = false;
-  if (format_ == StoreFormat::kJsonl) {
-    const auto it = index_.find(fp.hex());
-    hit = it != index_.end();
-    if (hit) result = records_[it->second];
-  } else {
-    if (const auto entry = binary_entry_locked(fp)) {
-      result = read_frame_locked(entry->offset);
-      hit = result.has_value();
-    }
+  if (const auto entry = entry_locked(fp)) {
+    result = read_frame_locked(entry->offset);
   }
   if (metrics != nullptr) {
     metrics->counter("store.lookups").add();
-    if (hit) metrics->counter("store.lookup_hits").add();
+    if (result.has_value()) metrics->counter("store.lookup_hits").add();
   }
   return result;
-}
-
-bool CandidateStore::put_locked(const OutcomeRecord& record) {
-  const std::string key = record.fingerprint.hex();
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    index_.emplace(key, records_.size());
-    records_.push_back(record);
-    return true;
-  }
-  if (records_[it->second].stage >= record.stage) return false;
-  records_[it->second] = record;
-  return true;
 }
 
 bool CandidateStore::put(const OutcomeRecord& record) {
@@ -450,30 +374,15 @@ bool CandidateStore::put(const OutcomeRecord& record) {
   obs::ScopedTimer timer(obs::maybe_histogram(metrics, "store.append.seconds"));
   if (metrics != nullptr) metrics->counter("store.appends").add();
   std::lock_guard lock(mutex_);
-  if (format_ == StoreFormat::kJsonl) {
-    if (!put_locked(record)) return false;
-    if (metrics != nullptr) metrics->counter("store.appends_accepted").add();
-    if (out_.is_open()) {
-      const std::string line = encode_line(record, scope_) + "\n";
-      out_.write(line.data(), static_cast<std::streamsize>(line.size()));
-      out_.flush();
-      if (!out_) {
-        // Losing durability silently (e.g. ENOSPC) would let a run keep
-        // "checkpointing" into the void; fail loudly instead.
-        throw std::runtime_error("CandidateStore: append to " + path_ +
-                                 " failed (disk full or I/O error)");
-      }
-    }
-    return true;
-  }
-
-  const auto existing = binary_entry_locked(record.fingerprint);
+  const auto existing = entry_locked(record.fingerprint);
   if (existing.has_value() && existing->stage >= record.stage) return false;
   if (metrics != nullptr) metrics->counter("store.appends_accepted").add();
   const std::string frame = encode_record(record, scope_);
   out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   out_.flush();
   if (!out_) {
+    // Losing durability silently (e.g. ENOSPC) would let a run keep
+    // "checkpointing" into the void; fail loudly instead.
     throw std::runtime_error("CandidateStore: append to " + path_ +
                              " failed (disk full or I/O error)");
   }
@@ -487,15 +396,16 @@ bool CandidateStore::put(const OutcomeRecord& record) {
 
 std::size_t CandidateStore::size() const {
   std::lock_guard lock(mutex_);
-  return format_ == StoreFormat::kJsonl ? records_.size() : distinct_;
+  return distinct_;
 }
 
-std::vector<OutcomeRecord> CandidateStore::scan_records_locked() const {
+std::vector<OutcomeRecord> CandidateStore::scan_records_locked(
+    ScanStats* stats) const {
   std::vector<OutcomeRecord> out;
   const auto content = util::read_file_if_exists(path_);
   if (!content.has_value() || content->size() < kMagicBytes) return out;
   std::unordered_map<std::string, std::size_t> by_key;
-  scan_binary_journal(
+  const ScanStats scanned = scan_binary_journal(
       std::string_view(*content).substr(kMagicBytes),
       [&](std::uint64_t, std::string_view frame) {
         auto record = decode_record(frame, scope_);
@@ -510,12 +420,12 @@ std::vector<OutcomeRecord> CandidateStore::scan_records_locked() const {
           out[it->second] = std::move(*record);
         }
       });
+  if (stats != nullptr) *stats = scanned;
   return out;
 }
 
 std::vector<OutcomeRecord> CandidateStore::records() const {
   std::lock_guard lock(mutex_);
-  if (format_ == StoreFormat::kJsonl) return records_;
   return scan_records_locked();
 }
 
@@ -535,115 +445,35 @@ std::size_t CandidateStore::merge_from(const CandidateStore& other) {
 
 std::size_t CandidateStore::compact() {
   std::lock_guard lock(mutex_);
-  if (format_ == StoreFormat::kBinary) {
-    // Count live journal units (frames, corrupt frames, a torn fragment)
-    // so the caller learns how much was reclaimed.
-    std::size_t old_units = 0;
-    std::vector<OutcomeRecord> keep;
-    {
-      const auto content = util::read_file_if_exists(path_);
-      std::unordered_map<std::string, std::size_t> by_key;
-      if (content.has_value() && content->size() >= kMagicBytes) {
-        const ScanStats stats = scan_binary_journal(
-            std::string_view(*content).substr(kMagicBytes),
-            [&](std::uint64_t, std::string_view frame) {
-              auto record = decode_record(frame, scope_);
-              if (!record.has_value()) return;
-              const std::string key = record->fingerprint.hex();
-              const auto it = by_key.find(key);
-              if (it == by_key.end()) {
-                by_key.emplace(key, keep.size());
-                keep.push_back(std::move(*record));
-              } else if (keep[it->second].stage < record->stage) {
-                keep[it->second] = std::move(*record);
-              }
-            });
-        old_units =
-            stats.frames + stats.corrupt_frames + (stats.torn_tail ? 1 : 0);
-      }
-    }
-
-    const std::string tmp_path = path_ + ".compact.tmp";
-    std::vector<MmapIndex::Entry> entries;
-    entries.reserve(keep.size());
-    std::uint64_t offset = kMagicBytes;
-    {
-      std::ofstream tmp(tmp_path, std::ios::binary | std::ios::trunc);
-      if (!tmp) {
-        throw std::runtime_error("CandidateStore::compact: cannot open " +
-                                 tmp_path);
-      }
-      tmp.write(kBinaryJournalMagic.data(),
-                static_cast<std::streamsize>(kBinaryJournalMagic.size()));
-      for (const auto& record : keep) {
-        const std::string frame = encode_record(record, scope_);
-        tmp.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-        MmapIndex::Entry entry;
-        entry.hi = record.fingerprint.hi;
-        entry.lo = record.fingerprint.lo;
-        entry.offset = offset;
-        entry.stage = static_cast<std::uint32_t>(record.stage);
-        entries.push_back(entry);
-        offset += frame.size();
-      }
-      tmp.flush();
-      if (!tmp) {
-        throw std::runtime_error("CandidateStore::compact: write to " +
-                                 tmp_path + " failed");
-      }
-    }
-    out_.close();
-    in_.close();
-    if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-      out_.open(path_, std::ios::binary | std::ios::app);
-      in_.open(path_, std::ios::binary);
-      throw std::runtime_error("CandidateStore::compact: rename " + tmp_path +
-                               " -> " + path_ + " failed");
-    }
-    append_offset_ = offset;
-    out_.open(path_, std::ios::binary | std::ios::app);
-    in_.open(path_, std::ios::binary);
-    if (!out_ || !in_) {
-      throw std::runtime_error("CandidateStore::compact: cannot reopen " +
-                               path_);
-    }
-    std::sort(entries.begin(), entries.end(), entry_less);
-    MmapIndex::write(index_path(), entries, append_offset_, scope_hash());
-    if (!base_.open(index_path(), scope_hash())) {
-      throw std::runtime_error("CandidateStore::compact: cannot map index " +
-                               index_path());
-    }
-    delta_.clear();
-    distinct_ = keep.size();
-    index_dirty_ = false;
-    line_errors_ = 0;
-    return old_units > keep.size() ? old_units - keep.size() : 0;
-  }
-
-  // Count the live journal's lines (incl. blank/torn/foreign ones) so the
-  // caller learns how much was reclaimed.
-  std::size_t old_lines = 0;
-  if (const auto content = util::read_file_if_exists(path_)) {
-    std::size_t start = 0;
-    while (start < content->size()) {
-      std::size_t end = content->find('\n', start);
-      if (end == std::string::npos) end = content->size();
-      if (!util::trim(content->substr(start, end - start)).empty()) {
-        ++old_lines;
-      }
-      start = end + 1;
-    }
-  }
+  // Count live journal units (frames, corrupt frames, a torn fragment) so
+  // the caller learns how much was reclaimed.
+  ScanStats stats;
+  const std::vector<OutcomeRecord> keep = scan_records_locked(&stats);
+  const std::size_t old_units =
+      stats.frames + stats.corrupt_frames + (stats.torn_tail ? 1 : 0);
 
   const std::string tmp_path = path_ + ".compact.tmp";
+  std::vector<MmapIndex::Entry> entries;
+  entries.reserve(keep.size());
+  std::uint64_t offset = kMagicBytes;
   {
     std::ofstream tmp(tmp_path, std::ios::binary | std::ios::trunc);
     if (!tmp) {
       throw std::runtime_error("CandidateStore::compact: cannot open " +
                                tmp_path);
     }
-    for (const auto& record : records_) {
-      tmp << encode_line(record, scope_) << '\n';
+    tmp.write(kBinaryJournalMagic.data(),
+              static_cast<std::streamsize>(kBinaryJournalMagic.size()));
+    for (const auto& record : keep) {
+      const std::string frame = encode_record(record, scope_);
+      tmp.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+      MmapIndex::Entry entry;
+      entry.hi = record.fingerprint.hi;
+      entry.lo = record.fingerprint.lo;
+      entry.offset = offset;
+      entry.stage = static_cast<std::uint32_t>(record.stage);
+      entries.push_back(entry);
+      offset += frame.size();
     }
     tmp.flush();
     if (!tmp) {
@@ -652,41 +482,44 @@ std::size_t CandidateStore::compact() {
     }
   }
 
-  // Swap the compacted file in atomically. The append handle must be
-  // re-opened either way: after a rename the old handle points at an
-  // unlinked inode and further puts would checkpoint into the void.
+  // Swap the compacted file in atomically. Both handles must be re-opened
+  // either way: after a rename the old ones point at an unlinked inode and
+  // further puts would checkpoint into the void.
   out_.close();
+  in_.close();
   if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    // Leave the original journal intact; reopen it for appends before
-    // surfacing the failure.
+    // Leave the original journal intact; reopen it before surfacing the
+    // failure.
     out_.open(path_, std::ios::binary | std::ios::app);
+    in_.open(path_, std::ios::binary);
     throw std::runtime_error("CandidateStore::compact: rename " + tmp_path +
                              " -> " + path_ + " failed");
   }
+  append_offset_ = offset;
   out_.open(path_, std::ios::binary | std::ios::app);
-  if (!out_) {
+  in_.open(path_, std::ios::binary);
+  if (!out_ || !in_) {
     throw std::runtime_error("CandidateStore::compact: cannot reopen " +
-                             path_ + " for append");
+                             path_);
   }
+  std::sort(entries.begin(), entries.end(), entry_less);
+  MmapIndex::write(index_path(), entries, append_offset_, scope_hash());
+  if (!base_.open(index_path(), scope_hash())) {
+    throw std::runtime_error("CandidateStore::compact: cannot map index " +
+                             index_path());
+  }
+  delta_.clear();
+  distinct_ = keep.size();
+  index_dirty_ = false;
   line_errors_ = 0;
-  return old_lines > records_.size() ? old_lines - records_.size() : 0;
-}
-
-std::string CandidateStore::encode_line(const OutcomeRecord& record,
-                                        const StoreScope& scope) {
-  return encode_jsonl_line(record, scope);
-}
-
-std::optional<OutcomeRecord> CandidateStore::decode_line(
-    const std::string& line, const StoreScope& scope) {
-  return decode_jsonl_line(line, scope);
+  return old_units > keep.size() ? old_units - keep.size() : 0;
 }
 
 std::string default_store_path(const StoreScope& scope) {
   const char* dir = std::getenv("NADA_STORE_DIR");
   std::string base = (dir != nullptr && *dir != '\0') ? dir : "nada_store";
   return base + "/" + scope.env + "-" + scope.config_digest.substr(0, 16) +
-         journal_extension(store_format_from_env());
+         kJournalExtension;
 }
 
 }  // namespace nada::store

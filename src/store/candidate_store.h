@@ -13,19 +13,14 @@
 //   * shard stores produced by independent workers merge by union, with
 //     the furthest-progressed record winning per fingerprint.
 //
-// Two on-disk formats implement the same contract (docs/STORE_FORMAT.md):
-//
-//   * JSONL (".jsonl", the default) — one JSON object per line,
-//     human-greppable; opening loads every record into memory.
-//   * binary (".nsb") — length-prefixed checksummed frames plus an mmap'd
-//     fingerprint->offset sidecar ("<journal>.idx"), so open() costs
-//     O(index) instead of O(records) and lookup() deserializes exactly one
-//     frame. Built for million-candidate journals.
-//
-// The format is chosen by file extension; path producers (default paths,
-// shard runners, the supervisor) pick the extension from
-// NADA_STORE_FORMAT=jsonl|binary. Both formats hold identical record sets
-// for identical runs, and tools/store_convert migrates either direction.
+// On disk the store is one binary journal (".nsb", docs/STORE_FORMAT.md):
+// length-prefixed checksummed frames plus an mmap'd fingerprint->offset
+// sidecar ("<journal>.idx"), so open() costs O(index) instead of
+// O(records) and lookup() deserializes exactly one frame. Every path
+// producer (default paths, shard runners, the supervisor) names ".nsb"
+// journals. JSONL is only the lossless export/import format of
+// tools/store_convert (store/convert.h); a store path that does not end in
+// ".nsb" is refused with a pointer to that tool.
 //
 // Records carry a Stage marking how far through the funnel the work
 // products go; `put` is append-only and monotone (a record never regresses
@@ -53,6 +48,8 @@
 
 namespace nada::store {
 
+struct ScanStats;  // store/record_codec.h
+
 /// How far through the funnel a record's results go.
 enum class Stage : int {
   kChecked = 0,  ///< compile + normalization results
@@ -62,24 +59,22 @@ enum class Stage : int {
 
 [[nodiscard]] const char* stage_name(Stage stage);
 
-/// On-disk journal encoding. JSONL is the default until binary parity has
-/// been proven in a deployment; both satisfy the same store contract.
-enum class StoreFormat {
-  kJsonl,
-  kBinary,
-};
+/// Extension of every store journal.
+inline constexpr char kJournalExtension[] = ".nsb";
 
-/// Reads NADA_STORE_FORMAT ("jsonl" | "binary"; unset/empty = jsonl).
-/// Throws std::runtime_error on any other value — a typo must not silently
-/// run a million-candidate search on the wrong format.
+/// Throws std::invalid_argument unless `path` ends in kJournalExtension.
+/// The message names tools/store_convert, which turns a JSONL journal into
+/// a store journal. `caller` prefixes the message.
+void require_journal_path(const std::string& path, std::string_view caller);
+
+// The store has one format. These three names remain only because the
+// benchmark driver (funnelbench/src/funnel_bench.cpp) still calls them to
+// name its journals and to report the format: store_format_from_env()
+// always returns kBinary and reads no environment variable, and
+// journal_extension() returns kJournalExtension.
+enum class StoreFormat { kBinary };
 [[nodiscard]] StoreFormat store_format_from_env();
-
-/// ".jsonl" / ".nsb" — what path producers append for `format`.
 [[nodiscard]] const char* journal_extension(StoreFormat format);
-
-/// Format implied by a journal path: ".nsb" is binary, everything else is
-/// JSONL (the historical default for extensionless test paths).
-[[nodiscard]] StoreFormat format_for_path(std::string_view path);
 
 /// The work products of one candidate's trip through the funnel. Field for
 /// field this mirrors search::CandidateOutcome minus the per-run selection
@@ -115,28 +110,28 @@ struct StoreScope {
 
 class CandidateStore {
  public:
-  /// Opens (creating if absent) the journal at `path`, in the format
-  /// implied by its extension. Records from a different scope or with
+  /// Opens (creating if absent) the journal at `path`, which must end in
+  /// ".nsb" (require_journal_path). Records from a different scope or with
   /// corrupt/torn encodings are skipped and counted in
-  /// `recovered_line_errors()`. A binary journal opens through its mmap'd
-  /// sidecar index when fresh; a stale sidecar triggers a scan of only the
-  /// un-indexed tail, a missing/corrupt one a full rebuild.
+  /// `recovered_line_errors()`; a torn tail is truncated away. The journal
+  /// opens through its mmap'd sidecar index when fresh; a stale sidecar
+  /// triggers a scan of only the un-indexed tail, a missing/corrupt one a
+  /// full rebuild. Throws std::runtime_error on a bad journal header.
   CandidateStore(std::string path, StoreScope scope);
   ~CandidateStore();
 
   CandidateStore(const CandidateStore&) = delete;
   CandidateStore& operator=(const CandidateStore&) = delete;
 
-  /// Latest-stage record for a fingerprint (a copy: the index mutates
-  /// under concurrent puts). On a binary store this reads exactly one
-  /// frame from disk; a frame that fails its checksum is counted in
+  /// Latest-stage record for a fingerprint. Reads exactly one frame from
+  /// disk; a frame that fails its checksum is counted in
   /// recovered_line_errors() and reported as a miss.
   [[nodiscard]] std::optional<OutcomeRecord> lookup(
       const Fingerprint& fp) const;
 
   /// Journals a record. Monotone per fingerprint: ignored entirely when
-  /// the indexed record already reached `record.stage`. Appends one
-  /// line/frame and flushes before returning, so a crash after put() never
+  /// the indexed record already reached `record.stage`. Appends one frame
+  /// and flushes before returning, so a crash after put() never
   /// loses the record; an append that fails (disk full, I/O error) throws
   /// rather than silently dropping durability. Returns true when the
   /// record was accepted.
@@ -146,33 +141,30 @@ class CandidateStore {
   [[nodiscard]] std::size_t size() const;
 
   /// Snapshot of the latest record per fingerprint, in first-sighting
-  /// order. On a binary store this is the one deliberately O(records)
-  /// call: it re-scans the journal (merge paths and tests want the full
-  /// set; the funnel itself never calls it).
+  /// order. This is the one deliberately O(records) call: it re-scans the
+  /// journal (merge paths and tests want the full set; the funnel itself
+  /// never calls it).
   [[nodiscard]] std::vector<OutcomeRecord> records() const;
 
   /// Unions another store's records into this one (same-scope only;
   /// throws std::invalid_argument otherwise). Returns records accepted.
-  /// Works across formats: the source may be JSONL and this binary, or
-  /// vice versa.
   std::size_t merge_from(const CandidateStore& other);
 
   /// Rewrites the journal to exactly one record per fingerprint — the
   /// latest-stage record — dropping superseded-stage duplicates, torn
-  /// fragments, and foreign/corrupt records accumulated across runs.
-  /// Format-aware: a binary store compacts to fresh frames and rebuilds
-  /// its sidecar index. Crash-safe: the compacted journal is written to
-  /// "<path>.compact.tmp", flushed, and atomically renamed over the
-  /// original, so a crash at any point leaves either the old journal or
-  /// the new one, never a mix. Returns the number of journal
+  /// fragments, and foreign/corrupt records accumulated across runs, and
+  /// rebuilds the sidecar index. Crash-safe: the compacted journal is
+  /// written to "<path>.compact.tmp", flushed, and atomically renamed over
+  /// the original, so a crash at any point leaves either the old journal
+  /// or the new one, never a mix. Returns the number of journal
   /// records/fragments dropped. Resets recovered_line_errors() to zero
   /// (the rewritten file is clean).
   std::size_t compact();
 
-  /// Binary stores only (no-op returning 0 on JSONL): rescans the journal
-  /// and rewrites the sidecar index from scratch. Returns the number of
-  /// indexed fingerprints. The sidecar is also persisted automatically on
-  /// clean destruction and after open-time recovery.
+  /// Rescans the journal and rewrites the sidecar index from scratch.
+  /// Returns the number of indexed fingerprints. The sidecar is also
+  /// persisted automatically on clean destruction and after open-time
+  /// recovery.
   std::size_t rebuild_index();
 
   /// Attaches a profiling registry (pure readout, never changes journal
@@ -185,29 +177,19 @@ class CandidateStore {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] const StoreScope& scope() const { return scope_; }
-  [[nodiscard]] StoreFormat format() const { return format_; }
   [[nodiscard]] std::size_t recovered_line_errors() const {
     std::lock_guard lock(mutex_);
     return line_errors_;
   }
 
-  /// Binary stores: frames deserialized on demand since open (lookup and
-  /// records() reads). The allocation guard for "open() materializes
-  /// nothing": after an indexed open this is 0, and a cache-hit lookup
-  /// raises it by exactly 1. Always 0 on JSONL stores (which materialize
-  /// eagerly at load instead).
+  /// Frames deserialized since open (recovery scans, lookup and records()
+  /// reads). The allocation guard for "open() materializes nothing": after
+  /// an indexed open this is 0, and a cache-hit lookup raises it by
+  /// exactly 1.
   [[nodiscard]] std::size_t decoded_frames() const {
     std::lock_guard lock(mutex_);
     return decoded_frames_;
   }
-
-  // JSONL codec, exposed for tests and external tooling (thin wrappers
-  // over store/record_codec.h, which also houses the binary codec).
-  [[nodiscard]] static std::string encode_line(const OutcomeRecord& record,
-                                               const StoreScope& scope);
-  /// nullopt when the line is torn/corrupt or from a different scope.
-  [[nodiscard]] static std::optional<OutcomeRecord> decode_line(
-      const std::string& line, const StoreScope& scope);
 
  private:
   struct DeltaEntry {
@@ -215,16 +197,18 @@ class CandidateStore {
     Stage stage = Stage::kChecked;
   };
 
-  /// Returns true when the journal ended mid-record (torn final append).
+  /// Validates the header and indexes the journal; returns true when
+  /// recovery scanned records the sidecar did not cover (persist it).
   bool load();
-  bool load_binary();
-  bool put_locked(const OutcomeRecord& record);
-  /// Latest stage for a fingerprint in the binary backend (delta wins).
-  std::optional<DeltaEntry> binary_entry_locked(const Fingerprint& fp) const;
+  /// Latest stage for a fingerprint (delta wins over the sidecar).
+  std::optional<DeltaEntry> entry_locked(const Fingerprint& fp) const;
   /// Reads + decodes the frame at `offset`; counts a line error and
   /// returns nullopt on checksum/decode failure.
   std::optional<OutcomeRecord> read_frame_locked(std::uint64_t offset) const;
-  std::vector<OutcomeRecord> scan_records_locked() const;
+  /// Latest record per fingerprint, in first-sighting order, from a full
+  /// journal scan; `stats` (when non-null) receives the scan's counts.
+  std::vector<OutcomeRecord> scan_records_locked(
+      ScanStats* stats = nullptr) const;
   /// Full journal rescan + sidecar rewrite; returns distinct fingerprints.
   std::size_t rebuild_index_locked();
   /// Merges the mmap'd base index with the in-memory delta and persists
@@ -240,18 +224,12 @@ class CandidateStore {
   std::atomic<obs::MetricsRegistry*> metrics_{nullptr};
   std::string path_;
   StoreScope scope_;
-  StoreFormat format_ = StoreFormat::kJsonl;
   std::ofstream out_;  ///< append handle, kept open for the store's life
-  /// Binary backend read handle for on-demand frame loads (seek + read
-  /// under mutex_; reopened after compaction swaps the inode).
+  /// Read handle for on-demand frame loads (seek + read under mutex_;
+  /// reopened after compaction swaps the inode).
   mutable std::ifstream in_;
 
-  // ---- JSONL backend: every record materialized at load ----
-  std::vector<OutcomeRecord> records_;
-  // fingerprint hex -> index into records_
-  std::unordered_map<std::string, std::size_t> index_;
-
-  // ---- binary backend: offsets only; frames read on demand ----
+  // Offsets only; frames are read on demand.
   MmapIndex base_;  ///< mmap'd sidecar (may be closed when journal is new)
   // fingerprint hex -> entry for records appended/upgraded since the
   // sidecar was built (overrides base_).
@@ -265,7 +243,7 @@ class CandidateStore {
 };
 
 /// Default journal location: $NADA_STORE_DIR (default "nada_store")
-/// /<env>-<digest prefix><.jsonl|.nsb per NADA_STORE_FORMAT>.
+/// /<env>-<digest prefix>.nsb.
 [[nodiscard]] std::string default_store_path(const StoreScope& scope);
 
 }  // namespace nada::store

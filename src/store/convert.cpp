@@ -16,6 +16,10 @@
 namespace nada::store {
 namespace {
 
+bool is_binary(const std::string& path) {
+  return path.ends_with(kJournalExtension);
+}
+
 // Streams every decodable (record, scope) pair out of a journal in order,
 // counting what open-time recovery would have skipped.
 std::vector<ScopedRecord> read_journal(const std::string& path,
@@ -25,15 +29,9 @@ std::vector<ScopedRecord> read_journal(const std::string& path,
     throw std::runtime_error("store_convert: cannot read " + path);
   }
   std::vector<ScopedRecord> out;
-  if (format_for_path(path) == StoreFormat::kBinary) {
-    std::string_view view(*content);
-    if (view.size() < kBinaryJournalMagic.size() ||
-        view.substr(0, kBinaryJournalMagic.size()) != kBinaryJournalMagic) {
-      throw std::runtime_error("store_convert: " + path +
-                               " is not a binary store journal (bad magic)");
-    }
+  if (is_binary(path)) {
     const ScanStats stats = scan_binary_journal(
-        view.substr(kBinaryJournalMagic.size()),
+        journal_frames(*content, "store_convert: " + path),
         [&](std::uint64_t, std::string_view frame) {
           if (auto scoped = decode_record_any(frame)) {
             out.push_back(std::move(*scoped));
@@ -69,7 +67,6 @@ ConvertStats convert_journal(const std::string& in_path,
   const std::vector<ScopedRecord> records =
       read_journal(in_path, &stats.skipped);
 
-  const StoreFormat out_format = format_for_path(out_path);
   const std::string tmp_path = out_path + ".tmp";
   util::ensure_directories(util::parent_directory(out_path));
   {
@@ -77,7 +74,7 @@ ConvertStats convert_journal(const std::string& in_path,
     if (!out) {
       throw std::runtime_error("store_convert: cannot open " + tmp_path);
     }
-    if (out_format == StoreFormat::kBinary) {
+    if (is_binary(out_path)) {
       out.write(kBinaryJournalMagic.data(),
                 static_cast<std::streamsize>(kBinaryJournalMagic.size()));
       for (const auto& scoped : records) {
@@ -95,6 +92,9 @@ ConvertStats convert_journal(const std::string& in_path,
                                " failed");
     }
   }
+  // A sidecar left by an earlier journal at out_path describes other bytes;
+  // drop it before the new journal appears so the first open rebuilds it.
+  if (is_binary(out_path)) std::remove((out_path + ".idx").c_str());
   if (std::rename(tmp_path.c_str(), out_path.c_str()) != 0) {
     throw std::runtime_error("store_convert: rename " + tmp_path + " -> " +
                              out_path + " failed");

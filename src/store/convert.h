@@ -1,6 +1,7 @@
-// Lossless journal format conversion (JSONL <-> binary).
+// Lossless journal format conversion: binary store journal (".nsb") <->
+// JSONL, the export/import format.
 //
-// `convert_journal` rewrites a store journal into the format implied by the
+// `convert_journal` rewrites a journal into the format implied by the
 // output path's extension, preserving record order, per-record scope, and
 // duplicate entries (a journal is an append-only history; conversion must
 // not collapse it). Torn tails and corrupt frames/lines are skipped and

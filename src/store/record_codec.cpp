@@ -1,5 +1,6 @@
 #include "store/record_codec.h"
 
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -233,7 +234,7 @@ std::optional<std::string_view> frame_body(std::string_view frame) {
   return body;
 }
 
-// ---- JSONL helpers (moved from candidate_store.cpp) ------------------------
+// ---- JSONL helpers ---------------------------------------------------------
 
 std::optional<nn::TemporalUnit> temporal_from_name(const std::string& name) {
   for (const auto u : {nn::TemporalUnit::kConv1D, nn::TemporalUnit::kRnn,
@@ -297,6 +298,23 @@ std::optional<nn::ArchSpec> decode_arch(const util::JsonValue& value) {
   return spec;
 }
 
+// A score is a plain JSON number; a non-finite one takes json_doubles'
+// "nan"/"inf"/"-inf" spelling, so an export round-trips exactly instead of
+// reading back as the field's default (JSON has no non-finite literals).
+util::JsonValue score_to_json(double score) {
+  if (std::isfinite(score)) return util::JsonValue::number(score);
+  return util::json_doubles({score}).items().front();
+}
+
+double score_from_json(const util::JsonValue& value, double fallback) {
+  if (value.type() != util::JsonValue::Type::kString) {
+    return value.as_number(fallback);
+  }
+  util::JsonValue one = util::JsonValue::array();
+  one.push_back(value);
+  return util::json_to_doubles(one).front();
+}
+
 }  // namespace
 
 // ---- binary codec ----------------------------------------------------------
@@ -332,6 +350,15 @@ std::optional<ScopedRecord> decode_record_any(std::string_view frame) {
     return std::nullopt;  // a record that could never have been put()
   }
   return scoped;
+}
+
+std::string_view journal_frames(std::string_view content,
+                                const std::string& path) {
+  if (!content.starts_with(kBinaryJournalMagic)) {
+    throw std::runtime_error(path + " is not a binary store journal (bad "
+                             "magic)");
+  }
+  return content.substr(kBinaryJournalMagic.size());
 }
 
 ScanStats scan_binary_journal(
@@ -396,8 +423,8 @@ std::string encode_jsonl_line(const OutcomeRecord& record,
   out.set("early_probed", util::JsonValue::boolean(record.early_probed));
   out.set("early_rewards", util::json_doubles(record.early_rewards));
   out.set("fully_trained", util::JsonValue::boolean(record.fully_trained));
-  out.set("test_score", util::JsonValue::number(record.test_score));
-  out.set("emulation_score", util::JsonValue::number(record.emulation_score));
+  out.set("test_score", score_to_json(record.test_score));
+  out.set("emulation_score", score_to_json(record.emulation_score));
   out.set("curve_epochs", util::json_doubles(record.curve_epochs));
   out.set("median_curve", util::json_doubles(record.median_curve));
   return out.dump();
@@ -445,8 +472,8 @@ std::optional<ScopedRecord> decode_jsonl_line_any(const std::string& line) {
   record.early_probed = value.get("early_probed").as_bool();
   record.early_rewards = util::json_to_doubles(value.get("early_rewards"));
   record.fully_trained = value.get("fully_trained").as_bool();
-  record.test_score = value.get("test_score").as_number(-1e9);
-  record.emulation_score = value.get("emulation_score").as_number();
+  record.test_score = score_from_json(value.get("test_score"), -1e9);
+  record.emulation_score = score_from_json(value.get("emulation_score"), 0.0);
   record.curve_epochs = util::json_to_doubles(value.get("curve_epochs"));
   record.median_curve = util::json_to_doubles(value.get("median_curve"));
   return out;

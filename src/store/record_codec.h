@@ -3,19 +3,20 @@
 // Two wire formats encode the same store::OutcomeRecord + store::StoreScope
 // pair (see docs/STORE_FORMAT.md):
 //
-//   * JSONL — one JSON object per newline-terminated line, human-greppable,
-//     the historical default. Key order is canonical (sorted), so
-//     decode -> re-encode reproduces a store-written line byte for byte.
-//   * binary (".nsb") — a length-prefixed, checksummed frame per record:
-//     `u32 body_len | u64 fnv1a64(body) | body`, all little-endian, after
-//     an 8-byte file magic. Fixed field order, strings and double vectors
-//     length-prefixed, doubles as raw IEEE-754 bit patterns (non-finite
-//     values round-trip exactly, unlike JSON). The frame offsets are what
-//     the mmap'd fingerprint index (store/mmap_index.h) points at, so a
-//     lookup deserializes exactly one frame.
+//   * binary (".nsb") — the store's journal format: a length-prefixed,
+//     checksummed frame per record: `u32 body_len | u64 fnv1a64(body) |
+//     body`, all little-endian, after an 8-byte file magic. Fixed field
+//     order, strings and double vectors length-prefixed, doubles as raw
+//     IEEE-754 bit patterns (non-finite values round-trip exactly, unlike
+//     JSON). The frame offsets are what the mmap'd fingerprint index
+//     (store/mmap_index.h) points at, so a lookup deserializes exactly one
+//     frame.
+//   * JSONL — one JSON object per newline-terminated line, the export and
+//     import format of tools/store_convert. Key order is canonical
+//     (sorted), so decode -> re-encode reproduces a line byte for byte.
 //
 // Both decoders exist in a scope-filtered flavor (mirrors the store's
-// foreign-line skipping) and a scope-preserving "_any" flavor for format
+// foreign-record skipping) and a scope-preserving "_any" flavor for format
 // converters, which must migrate mixed-scope journals losslessly.
 #pragma once
 
@@ -52,14 +53,18 @@ inline constexpr std::uint32_t kMaxFrameBodyBytes = 64u << 20;
                                         const StoreScope& scope);
 
 /// Decodes one complete frame (header + body). nullopt when the frame is
-/// torn, fails its checksum, malforms, or carries a different scope — the
-/// binary analogue of CandidateStore::decode_line.
+/// torn, fails its checksum, malforms, or carries a different scope.
 [[nodiscard]] std::optional<OutcomeRecord> decode_record(
     std::string_view frame, const StoreScope& scope);
 
 /// Scope-preserving decode; nullopt only for torn/corrupt frames.
 [[nodiscard]] std::optional<ScopedRecord> decode_record_any(
     std::string_view frame);
+
+/// The frames of a whole journal file: `content` past its 8-byte magic.
+/// Throws std::runtime_error naming `path` when the magic is missing.
+[[nodiscard]] std::string_view journal_frames(std::string_view content,
+                                              const std::string& path);
 
 /// Result of walking a journal buffer frame by frame.
 struct ScanStats {
@@ -81,10 +86,11 @@ ScanStats scan_binary_journal(
     std::string_view content,
     const std::function<void(std::uint64_t, std::string_view)>& frame_fn);
 
-// ---- JSONL codec (shared by CandidateStore and the converters) -------------
+// ---- JSONL codec (export/import format of the converters) -----------------
 
 [[nodiscard]] std::string encode_jsonl_line(const OutcomeRecord& record,
                                             const StoreScope& scope);
+/// nullopt when the line is torn/corrupt or from a different scope.
 [[nodiscard]] std::optional<OutcomeRecord> decode_jsonl_line(
     const std::string& line, const StoreScope& scope);
 [[nodiscard]] std::optional<ScopedRecord> decode_jsonl_line_any(

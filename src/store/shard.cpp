@@ -6,7 +6,6 @@
 
 #include "store/record_codec.h"
 #include "util/fs.h"
-#include "util/strings.h"
 
 namespace nada::store {
 
@@ -76,36 +75,24 @@ std::pair<ShardPlan::Range, ShardPlan::Range> split_midpoint(
 
 std::size_t merge_shard_files(std::span<const std::string> shard_paths,
                               CandidateStore& dest) {
+  for (const auto& path : shard_paths) {
+    require_journal_path(path, "merge_shard_files");
+  }
   std::size_t accepted = 0;
   for (const auto& path : shard_paths) {
     // Read-only decode: a missing shard journal is a worker that never
     // reported — surface it instead of silently merging nothing (and never
     // open merge sources for append). Torn/foreign records are skipped, as
-    // on any journal load. Each source's format comes from its own
-    // extension, so mixed-format shard sets merge fine.
+    // on any journal load.
     const std::string content = util::read_file(path);
-    if (format_for_path(path) == StoreFormat::kBinary) {
-      std::string_view view(content);
-      if (view.size() < kBinaryJournalMagic.size() ||
-          view.substr(0, kBinaryJournalMagic.size()) != kBinaryJournalMagic) {
-        throw std::runtime_error("merge_shard_files: " + path +
-                                 " is not a binary store journal");
-      }
-      scan_binary_journal(view.substr(kBinaryJournalMagic.size()),
-                          [&](std::uint64_t, std::string_view frame) {
-                            const auto record =
-                                decode_record(frame, dest.scope());
-                            if (record.has_value() && dest.put(*record)) {
-                              ++accepted;
-                            }
-                          });
-      continue;
-    }
-    for (const auto& line : util::split(content, '\n')) {
-      if (util::trim(line).empty()) continue;
-      const auto record = CandidateStore::decode_line(line, dest.scope());
-      if (record.has_value() && dest.put(*record)) ++accepted;
-    }
+    scan_binary_journal(journal_frames(content, path),
+                        [&](std::uint64_t, std::string_view frame) {
+                          const auto record =
+                              decode_record(frame, dest.scope());
+                          if (record.has_value() && dest.put(*record)) {
+                            ++accepted;
+                          }
+                        });
   }
   return accepted;
 }

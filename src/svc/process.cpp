@@ -8,6 +8,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 namespace nada::svc {
 
@@ -48,18 +51,34 @@ ChildProcess ChildProcess::spawn(const std::vector<std::string>& argv) {
   for (const auto& arg : argv) raw.push_back(const_cast<char*>(arg.c_str()));
   raw.push_back(nullptr);
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     throw std::runtime_error("ChildProcess::spawn: fork failed for " +
                              argv[0]);
   }
   if (pid == 0) {
+    // Lead a process group of our own, so terminate() reaches everything
+    // the command starts (a wrapper script's payload included).
+    ::setpgid(0, 0);
+#ifdef __linux__
+    // Outside the parent's group, a SIGKILL aimed at that group (a
+    // timeout killing the whole driver) no longer reaches us: die with
+    // the parent instead. The getppid check closes the race with a parent
+    // that died before prctl ran.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);
+#endif
     ::execvp(raw[0], raw.data());
     // exec failed (missing binary, permissions). _exit, never return into
     // the parent's state: flushing its stdio or running its atexit hooks
     // from the forked child would corrupt both.
     ::_exit(127);
   }
+  // The parent makes the same call, so the group exists before spawn()
+  // returns and a terminate() can never race the child's own setpgid.
+  // Failure here means the child already did it (or already exec'd).
+  (void)::setpgid(pid, pid);
   ChildProcess child;
   child.pid_ = pid;
   return child;
@@ -93,7 +112,9 @@ ExitStatus ChildProcess::wait() { return wait_impl(/*block=*/true); }
 
 void ChildProcess::terminate(int signum) {
   if (reaped_ || !valid()) return;
-  ::kill(pid_, signum);
+  // The child leads its own group (see spawn); until it is reaped, its pid
+  // names that group. Fall back to the child alone if the group is gone.
+  if (::kill(-pid_, signum) != 0) ::kill(pid_, signum);
 }
 
 #else  // _WIN32: the svc layer needs POSIX process control.

@@ -6,6 +6,12 @@
 // heartbeat snapshots are the only coupling, exactly as in the multi-
 // process sharded search this subsystem productionizes. Non-POSIX builds
 // get a stub that throws on spawn (the svc layer is gated the same way).
+//
+// Each child leads its own process group, and terminate() signals the
+// whole group, so a command that forks (a `sh -c` wrapper, a script,
+// `nice`) cannot leave a grandchild running after its kill. On Linux a
+// child also dies with the thread that spawned it (PR_SET_PDEATHSIG); a
+// grandchild does not.
 #pragma once
 
 #include <string>
@@ -44,11 +50,11 @@ class ChildProcess {
   ChildProcess& operator=(const ChildProcess&) = delete;
   ~ChildProcess() = default;
 
-  /// fork + execvp. `argv[0]` is the binary (PATH-resolved); throws
-  /// std::invalid_argument on empty argv and std::runtime_error when fork
-  /// fails. An exec failure inside the child surfaces as exit code 127 on
-  /// the next poll — indistinguishable from any other startup crash, which
-  /// is exactly how the supervisor treats it.
+  /// fork + setpgid + execvp. `argv[0]` is the binary (PATH-resolved);
+  /// throws std::invalid_argument on empty argv and std::runtime_error
+  /// when fork fails. An exec failure inside the child surfaces as exit
+  /// code 127 on the next poll — indistinguishable from any other startup
+  /// crash, which is exactly how the supervisor treats it.
   [[nodiscard]] static ChildProcess spawn(
       const std::vector<std::string>& argv);
 
@@ -62,7 +68,8 @@ class ChildProcess {
   /// Blocking waitpid (returns immediately when already reaped).
   ExitStatus wait();
 
-  /// Sends `signum` (default SIGKILL). No-op once the child is reaped.
+  /// Sends `signum` to the child's whole process group. No-op once the
+  /// child is reaped.
   void terminate(int signum);
 
  private:

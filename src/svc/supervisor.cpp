@@ -46,12 +46,10 @@ Supervisor::Supervisor(SupervisorConfig config, CommandBuilder command)
 }
 
 std::string Supervisor::lease_journal_path(std::uint64_t id) const {
-  // Candidate journals follow NADA_STORE_FORMAT; the supervisor's own
-  // event log stays JSONL regardless (it is an operator-facing log).
-  return default_path(
-      config_,
-      "lease-" + std::to_string(id) +
-          store::journal_extension(store::store_format_from_env()));
+  // Candidate journals are binary store journals; the supervisor's own
+  // event log stays JSONL (it is an operator-facing log).
+  return default_path(config_, "lease-" + std::to_string(id) +
+                                   store::kJournalExtension);
 }
 
 Lease Supervisor::make_lease(std::uint64_t id, store::ShardPlan::Range range,
@@ -247,12 +245,18 @@ void Supervisor::fail(const std::string& error) {
   report_.error = error;
   // Kill and reap everything still running; leave pending_ as a record of
   // unfinished work (it also survives in the lease log for resume).
+  const std::vector<Slot> killed = kill_workers();
+  for (const auto& slot : killed) {
+    log_->revoke(slot.lease.id, "supervisor abort");
+  }
+}
+
+std::vector<Supervisor::Slot> Supervisor::kill_workers() {
   for (auto& slot : slots_) {
     slot.process.terminate(SIGKILL);
     (void)slot.process.wait();
-    log_->revoke(slot.lease.id, "supervisor abort");
   }
-  slots_.clear();
+  return std::exchange(slots_, {});
 }
 
 util::JsonValue Supervisor::cluster_status() const {
@@ -315,6 +319,30 @@ SupervisorReport Supervisor::run() {
   report_.cluster_status_path = config_.cluster_status_path;
   plan_or_recover();
 
+  // Workers lead their own process groups, outside the caller's, so a
+  // signal to the caller's group never reaches them: every way out of the
+  // loop, an exception included, must kill and reap them here.
+  try {
+    supervise();
+  } catch (...) {
+    (void)kill_workers();
+    throw;
+  }
+
+  report_.success = !failed_;
+  // Final status snapshot regardless of the rate limit.
+  last_status_write_ = 0.0;
+  write_cluster_status();
+  if (report_.success) {
+    log_->note("done", 0,
+               {{"leases_completed",
+                 std::to_string(report_.leases_completed)},
+                {"spawned", std::to_string(report_.spawned)}});
+  }
+  return report_;
+}
+
+void Supervisor::supervise() {
   while (!failed_ && (!pending_.empty() || !slots_.empty())) {
     spawn_pending();
     // Reap in reverse so erase() never shifts an unvisited slot.
@@ -331,18 +359,6 @@ SupervisorReport Supervisor::run() {
     std::this_thread::sleep_for(std::chrono::duration<double>(
         config_.poll_interval_seconds));
   }
-
-  report_.success = !failed_;
-  // Final status snapshot regardless of the rate limit.
-  last_status_write_ = 0.0;
-  write_cluster_status();
-  if (report_.success) {
-    log_->note("done", 0,
-               {{"leases_completed",
-                 std::to_string(report_.leases_completed)},
-                {"spawned", std::to_string(report_.spawned)}});
-  }
-  return report_;
 }
 
 }  // namespace nada::svc

@@ -77,7 +77,7 @@ struct SupervisorConfig {
   std::string dir = "nada_svc";
   /// File-name prefix inside `dir` (derive it from the store scope so
   /// concurrent searches never collide): lease journals are
-  /// "<dir>/<prefix>lease-<id>.jsonl".
+  /// "<dir>/<prefix>lease-<id>.nsb".
   std::string prefix;
   /// Lease/event log path; "" = "<dir>/<prefix>supervisor.jsonl".
   std::string event_log_path;
@@ -127,8 +127,9 @@ class Supervisor {
   /// Runs the whole schedule to completion (or failure): plans/recovers
   /// leases, spawns and supervises workers, restarts, reassigns, and
   /// returns when the queue is drained and every worker has exited. On
-  /// failure (fail-fast exit or max_restarts exhausted) every running
-  /// worker is killed and reaped before returning. Single-shot.
+  /// failure (fail-fast exit or max_restarts exhausted) or an exception,
+  /// every running worker's process group is killed and reaped before
+  /// returning or rethrowing. Single-shot.
   [[nodiscard]] SupervisorReport run();
 
   /// The supervisor's own live view: worker heartbeat snapshots aggregated
@@ -150,12 +151,17 @@ class Supervisor {
                                  store::ShardPlan::Range range,
                                  std::size_t attempt, std::uint64_t parent);
   void plan_or_recover();
+  /// The supervision loop: runs until the queue drains or fail() fires.
+  void supervise();
   void spawn_pending();
   /// Handles one dead worker; returns false when the run must abort.
   [[nodiscard]] bool handle_exit(Slot& slot, const ExitStatus& status);
   void check_staleness();
   void write_cluster_status();
   void fail(const std::string& error);
+  /// SIGKILLs and reaps every running worker's process group; returns the
+  /// killed slots, leaving slots_ empty.
+  std::vector<Slot> kill_workers();
   void track_journal(const std::string& path);
 
   SupervisorConfig config_;

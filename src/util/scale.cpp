@@ -40,6 +40,13 @@ ScaleConfig ScaleConfig::from_env() {
   cfg.seeds = positive_factor("NADA_SCALE_SEEDS", 0.6);  // 5 -> 3 seeds
   cfg.traces = positive_factor("NADA_SCALE_TRACES", 0.15);
   cfg.model = positive_factor("NADA_SCALE_MODEL", 0.25);  // 128 -> 32 units
+  // Widths only shrink: gen::ArchGenerator refuses a width scale above 1,
+  // and a bench should learn that here, not after its first search.
+  if (cfg.model > 1.0) {
+    throw std::runtime_error(
+        std::string("NADA_SCALE_MODEL must be in (0, 1], got \"") +
+        std::getenv("NADA_SCALE_MODEL") + "\"");
+  }
   return cfg;
 }
 

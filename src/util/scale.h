@@ -29,7 +29,8 @@ struct ScaleConfig {
   /// finishes in minutes.
   /// Throws std::runtime_error when a variable is set to anything that is
   /// not a positive finite number — including unparseable text (which
-  /// would otherwise silently run the workload at the default size).
+  /// would otherwise silently run the workload at the default size) — and
+  /// when NADA_SCALE_MODEL exceeds 1 (layer widths only scale down).
   static ScaleConfig from_env();
 
   /// Applies a factor with a floor of `min_value`.

@@ -288,8 +288,8 @@ TEST(SearchProbeBlock, BlockSizeLeavesOutcomesAndJournalsUnchanged) {
   };
 
   // One candidate per block against ragged blocks of four.
-  auto [one_result, one_records] = run(1, "block1.jsonl");
-  auto [four_result, four_records] = run(4, "block4.jsonl");
+  auto [one_result, one_records] = run(1, "block1.nsb");
+  auto [four_result, four_records] = run(4, "block4.nsb");
 
   // The probe_block knob must not move a result: both runs share the same
   // funnel digest, so cached journals survive changing it.

@@ -5,10 +5,11 @@
 // exercised through env::TaskDomain.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cc/cc_domain.h"
@@ -20,7 +21,9 @@
 #include "rl/trainer.h"
 #include "search/search_job.h"
 #include "store/candidate_store.h"
+#include "store/record_codec.h"
 #include "trace/generator.h"
+#include "util/fs.h"
 
 namespace nada {
 namespace {
@@ -193,9 +196,10 @@ search::SearchConfig tiny_cc_search_config() {
 std::string fresh_store_path(const std::string& name) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) /
-       ("nada_cc_funnel_" + name + ".jsonl"))
+       ("nada_cc_funnel_" + name + ".nsb"))
           .string();
   std::filesystem::remove(path);
+  std::filesystem::remove(path + ".idx");
   return path;
 }
 
@@ -298,15 +302,20 @@ TEST(CcSearch, ResumeAfterTruncatedJournalMatchesFullRun) {
   store::CandidateStore full_store(full_path, scope);
   const auto want = search_cc_states(domain, 31337, 17, pool, &full_store);
 
-  // Simulate an interruption: keep only the first half of the journal.
+  // Simulate an interruption: keep only the first half of the journal's
+  // frames.
   {
-    std::ifstream in(full_path);
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-    std::ofstream out(cut_path, std::ios::trunc);
-    for (std::size_t i = 0; i < lines.size() / 2; ++i) {
-      out << lines[i] << "\n";
-    }
+    const std::string content = util::read_file(full_path);
+    const std::string_view frames = store::journal_frames(content, full_path);
+    std::vector<std::uint64_t> frame_ends;
+    store::scan_binary_journal(
+        frames, [&](std::uint64_t offset, std::string_view frame) {
+          frame_ends.push_back(offset + frame.size());
+        });
+    ASSERT_GE(frame_ends.size(), 2u);
+    const std::size_t keep = content.size() - frames.size() +
+                             frame_ends[frame_ends.size() / 2 - 1];
+    util::write_file_atomic(cut_path, content.substr(0, keep));
   }
 
   store::CandidateStore cut_store(cut_path, scope);

@@ -1,9 +1,10 @@
 // End-to-end golden runs of the real shard_worker binary: the ranking
-// lines and the journal bytes (size + digest) of fixed-seed single-process
-// searches, compared with outputs recorded in tests/golden/. They pin the
-// whole funnel — probe, baseline, and full training — across thread counts
-// and in streaming mode, so a change to any training path that moves a
-// single result bit shows up here.
+// lines and the journal contents (size + digest of each journal's JSONL
+// export) of fixed-seed single-process searches, compared with outputs
+// recorded in tests/golden/. They pin the whole funnel — probe, baseline,
+// and full training — across thread counts and in streaming mode, so a
+// change to any training path that moves a single result bit shows up
+// here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "golden.h"
+#include "store/convert.h"
 #include "svc/process.h"
 #include "util/fs.h"
 #include "util/strings.h"
@@ -31,8 +33,10 @@ std::string fresh_dir(const std::string& name) {
 }
 
 /// Runs `shard_worker --mode single --quiet <args>` into a fresh store and
-/// returns the baseline/RANK lines plus one `journal` line per journal
-/// file: name, byte count, and FNV-1a digest of the bytes.
+/// returns the baseline/RANK lines plus one `journal` line per journal:
+/// the name, byte count and FNV-1a digest of its JSONL export, named after
+/// the journal's stem (so the pins read the same as the export format).
+/// The `.idx` sidecar is a cache and is not pinned.
 std::string single_run(const std::string& name,
                        const std::vector<std::string>& args) {
   const std::string dir = fresh_dir(name);
@@ -56,15 +60,19 @@ std::string single_run(const std::string& name,
   std::vector<std::filesystem::path> journals;
   for (const auto& entry :
        std::filesystem::directory_iterator(dir + "/store")) {
-    journals.push_back(entry.path());
+    if (entry.path().extension() == ".nsb") journals.push_back(entry.path());
   }
+  EXPECT_FALSE(journals.empty()) << command;
   std::sort(journals.begin(), journals.end());
   for (const auto& path : journals) {
-    const std::string bytes = util::read_file(path.string());
+    const std::string exported =
+        dir + "/" + path.stem().string() + ".jsonl";
+    (void)store::convert_journal(path.string(), exported);
+    const std::string bytes = util::read_file(exported);
     char digest[17];
     std::snprintf(digest, sizeof digest, "%016llx",
                   static_cast<unsigned long long>(util::fnv1a64(bytes)));
-    out += "journal " + path.filename().string() + " bytes " +
+    out += "journal " + path.stem().string() + ".jsonl bytes " +
            std::to_string(bytes.size()) + " fnv1a64 " + digest + "\n";
   }
   std::filesystem::remove_all(dir);

@@ -26,6 +26,7 @@
 #include <tuple>
 #include <vector>
 
+#include "journal_lines.h"
 #include "env/abr_domain.h"
 #include "gen/state_gen.h"
 #include "obs/metrics.h"
@@ -490,8 +491,8 @@ TEST(ObservabilityEquivalence, ShardedStreamingSinksMatchSilentRun) {
   }
   EXPECT_EQ(trained_rows(silent), trained_rows(observed));
   const auto observed_journal =
-      sorted_lines(observed_runner.merged_store_path());
-  EXPECT_EQ(sorted_lines(silent_runner.merged_store_path()),
+      journals::sorted_lines(observed_runner.merged_store_path());
+  EXPECT_EQ(journals::sorted_lines(silent_runner.merged_store_path()),
             observed_journal);
   EXPECT_FALSE(observed_journal.empty());
 

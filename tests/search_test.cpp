@@ -29,6 +29,7 @@
 #include <set>
 #include <sstream>
 
+#include "journal_lines.h"
 #include "env/abr_domain.h"
 #include "filter/earlystop.h"
 #include "gen/arch_gen.h"
@@ -45,8 +46,9 @@ namespace {
 
 std::string fresh_path(const std::string& tag) {
   const std::string path =
-      ::testing::TempDir() + "nada_search_" + tag + ".jsonl";
+      ::testing::TempDir() + "nada_search_" + tag + ".nsb";
   std::remove(path.c_str());
+  std::remove((path + ".idx").c_str());
   return path;
 }
 
@@ -471,21 +473,12 @@ TEST(ShardRunnerTest, FourShardRunMergesToSingleProcessResult) {
   expect_same_result(single_result, merged_result);
 
   // ...and identical journals: same fingerprints, and per fingerprint the
-  // byte-identical record line (order differs — grouped by shard vs by
-  // stream — so compare as sorted line sets).
+  // byte-identical record (order differs — grouped by shard vs by stream —
+  // so compare as sorted sets of decoded records).
   store::CandidateStore merged_store(runner.merged_store_path(),
                                      runner.scope());
-  auto sorted_lines = [](const std::string& path) {
-    std::vector<std::string> lines;
-    std::istringstream in(util::read_file(path));
-    for (std::string line; std::getline(in, line);) {
-      if (!line.empty()) lines.push_back(line);
-    }
-    std::sort(lines.begin(), lines.end());
-    return lines;
-  };
-  EXPECT_EQ(sorted_lines(single_path),
-            sorted_lines(runner.merged_store_path()));
+  EXPECT_EQ(journals::sorted_lines(single_path),
+            journals::sorted_lines(runner.merged_store_path()));
   EXPECT_EQ(merged_store.size(), single_store.size());
 }
 

@@ -3,6 +3,7 @@
 // planning, and cache/resume behaviour of the integrated search funnel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -34,58 +35,36 @@
 namespace nada::store {
 namespace {
 
-// A fresh journal path per test, cleaned of any previous run's leftovers.
+// A fresh journal path per test, cleaned of any previous run's leftovers
+// (journal, sidecar, and tmp files).
 std::string fresh_path(const std::string& name) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("nada_store_test_" + name + ".nsb"))
+          .string();
+  for (const char* suffix : {"", ".tmp", ".idx", ".idx.tmp", ".compact.tmp"}) {
+    std::filesystem::remove(path + suffix);
+  }
+  return path;
+}
+
+// A fresh path for a JSONL export (not a store journal).
+std::string fresh_jsonl_path(const std::string& name) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) /
        ("nada_store_test_" + name + ".jsonl"))
           .string();
   std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
   return path;
 }
 
-// Fresh binary journal path (plus sidecar/tmp leftovers cleaned).
-std::string fresh_binary_path(const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) /
-       ("nada_store_test_" + name + ".nsb"))
-          .string();
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
-  std::filesystem::remove(path + ".idx");
-  std::filesystem::remove(path + ".idx.tmp");
-  std::filesystem::remove(path + ".compact.tmp");
-  return path;
+// Frames a raw journal holds: `content` is the whole file.
+ScanStats scan_file(const std::string& content) {
+  return scan_binary_journal(
+      std::string_view(content).substr(kBinaryJournalMagic.size()), nullptr);
 }
 
 StoreScope test_scope() { return StoreScope{"fcc", "test-digest"}; }
-
-// Scoped NADA_STORE_FORMAT override with restore-on-exit.
-class FormatEnvGuard {
- public:
-  explicit FormatEnvGuard(const char* value) {
-    const char* old = std::getenv("NADA_STORE_FORMAT");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv("NADA_STORE_FORMAT", value, 1);
-    } else {
-      ::unsetenv("NADA_STORE_FORMAT");
-    }
-  }
-  ~FormatEnvGuard() {
-    if (had_) {
-      ::setenv("NADA_STORE_FORMAT", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("NADA_STORE_FORMAT");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 OutcomeRecord make_test_record(std::uint64_t salt, Stage stage) {
   OutcomeRecord record;
@@ -209,165 +188,6 @@ TEST(Fingerprint, HexRoundTrip) {
 
 // ---- candidate store -------------------------------------------------------
 
-TEST(CandidateStore, RoundTripAllStages) {
-  const std::string path = fresh_path("roundtrip");
-  const auto checked = make_test_record(1, Stage::kChecked);
-  auto probed = make_test_record(2, Stage::kProbed);
-  probed.compile_error = "blew up \"late\"\nwith a newline";
-  auto trained = make_test_record(3, Stage::kTrained);
-  trained.arch = nn::ArchSpec::pensieve();
-  trained.arch->temporal = nn::TemporalUnit::kLstm;
-  trained.arch->shared_trunk = true;
-  {
-    CandidateStore store(path, test_scope());
-    EXPECT_TRUE(store.put(checked));
-    EXPECT_TRUE(store.put(probed));
-    EXPECT_TRUE(store.put(trained));
-  }
-  CandidateStore reopened(path, test_scope());
-  EXPECT_EQ(reopened.size(), 3u);
-  EXPECT_EQ(reopened.recovered_line_errors(), 0u);
-
-  const auto got = reopened.lookup(trained.fingerprint);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->stage, Stage::kTrained);
-  EXPECT_EQ(got->id, trained.id);
-  EXPECT_EQ(got->source, trained.source);
-  ASSERT_TRUE(got->arch.has_value());
-  EXPECT_EQ(got->arch->temporal, nn::TemporalUnit::kLstm);
-  EXPECT_TRUE(got->arch->shared_trunk);
-  EXPECT_TRUE(got->fully_trained);
-  EXPECT_DOUBLE_EQ(got->test_score, trained.test_score);
-  EXPECT_EQ(got->curve_epochs, trained.curve_epochs);
-  EXPECT_EQ(got->median_curve, trained.median_curve);
-
-  const auto got_probed = reopened.lookup(probed.fingerprint);
-  ASSERT_TRUE(got_probed.has_value());
-  EXPECT_EQ(got_probed->compile_error, probed.compile_error);
-  EXPECT_EQ(got_probed->early_rewards, probed.early_rewards);
-  EXPECT_FALSE(got_probed->arch.has_value());
-}
-
-TEST(CandidateStore, PutIsMonotonePerFingerprint) {
-  const std::string path = fresh_path("monotone");
-  CandidateStore store(path, test_scope());
-  auto record = make_test_record(7, Stage::kChecked);
-  EXPECT_TRUE(store.put(record));
-  EXPECT_FALSE(store.put(record));  // same stage: not re-journaled
-  record.stage = Stage::kProbed;
-  record.early_probed = true;
-  record.early_rewards = {1.0};
-  EXPECT_TRUE(store.put(record));
-  record.stage = Stage::kChecked;  // regression attempt
-  EXPECT_FALSE(store.put(record));
-  EXPECT_EQ(store.size(), 1u);
-  const auto got = store.lookup(record.fingerprint);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->stage, Stage::kProbed);
-
-  // Exactly two journal lines: one per accepted put.
-  const std::string content = util::read_file(path);
-  std::size_t lines = 0;
-  for (char c : content) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 2u);
-}
-
-TEST(CandidateStore, RecoversFromTornFinalLine) {
-  const std::string path = fresh_path("torn");
-  {
-    CandidateStore store(path, test_scope());
-    store.put(make_test_record(1, Stage::kProbed));
-    store.put(make_test_record(2, Stage::kTrained));
-  }
-  // Simulate a crash mid-append: keep the first record plus a prefix of the
-  // second line.
-  const std::string content = util::read_file(path);
-  const std::size_t first_newline = content.find('\n');
-  ASSERT_NE(first_newline, std::string::npos);
-  const std::string torn =
-      content.substr(0, first_newline + 1) +
-      content.substr(first_newline + 1, (content.size() - first_newline) / 2);
-  util::write_file_atomic(path, torn);
-
-  CandidateStore recovered(path, test_scope());
-  EXPECT_EQ(recovered.size(), 1u);
-  EXPECT_EQ(recovered.recovered_line_errors(), 1u);
-  EXPECT_TRUE(
-      recovered.lookup(make_test_record(1, Stage::kProbed).fingerprint)
-          .has_value());
-  // The journal stays usable after recovery.
-  EXPECT_TRUE(recovered.put(make_test_record(3, Stage::kChecked)));
-  CandidateStore reopened(path, test_scope());
-  EXPECT_EQ(reopened.size(), 2u);
-}
-
-TEST(CandidateStore, CompactRewritesUpgradesAndTornTail) {
-  const std::string path = fresh_path("compact");
-  {
-    // A journal full of superseded stages: each record journaled at every
-    // stage it passed through (3 + 2 + 1 = 6 lines for 3 fingerprints).
-    CandidateStore store(path, test_scope());
-    store.put(make_test_record(1, Stage::kChecked));
-    store.put(make_test_record(1, Stage::kProbed));
-    store.put(make_test_record(1, Stage::kTrained));
-    store.put(make_test_record(2, Stage::kChecked));
-    store.put(make_test_record(2, Stage::kProbed));
-    store.put(make_test_record(3, Stage::kChecked));
-  }
-  // Plus a crash's torn tail.
-  {
-    const std::string content = util::read_file(path);
-    util::write_file_atomic(path,
-                            content + "{\"fp\": \"deadbeef\", \"trunc");
-  }
-
-  CandidateStore store(path, test_scope());
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(store.recovered_line_errors(), 1u);
-  const std::size_t dropped = store.compact();
-  // 7 meaningful lines on disk -> 3 latest-stage records.
-  EXPECT_EQ(dropped, 4u);
-  EXPECT_EQ(store.recovered_line_errors(), 0u);
-
-  // The rewritten journal holds exactly one line per fingerprint, at the
-  // furthest stage, and stays fully usable.
-  {
-    const std::string content = util::read_file(path);
-    std::size_t lines = 0;
-    for (char c : content) lines += c == '\n' ? 1 : 0;
-    EXPECT_EQ(lines, 3u);
-  }
-  const auto r1 = store.lookup(make_test_record(1, Stage::kChecked).fingerprint);
-  ASSERT_TRUE(r1.has_value());
-  EXPECT_EQ(r1->stage, Stage::kTrained);
-  EXPECT_TRUE(store.put(make_test_record(4, Stage::kChecked)));
-
-  CandidateStore reopened(path, test_scope());
-  EXPECT_EQ(reopened.size(), 4u);
-  EXPECT_EQ(reopened.recovered_line_errors(), 0u);
-  const auto r1_again =
-      reopened.lookup(make_test_record(1, Stage::kChecked).fingerprint);
-  ASSERT_TRUE(r1_again.has_value());
-  EXPECT_EQ(r1_again->stage, Stage::kTrained);
-  EXPECT_EQ(r1_again->test_score, make_test_record(1, Stage::kTrained).test_score);
-  // Idempotent: a second compaction drops nothing.
-  EXPECT_EQ(reopened.compact(), 0u);
-  EXPECT_EQ(reopened.size(), 4u);
-}
-
-TEST(CandidateStore, ForeignScopeLinesAreSkipped) {
-  const std::string path = fresh_path("scope");
-  {
-    CandidateStore store(path, test_scope());
-    store.put(make_test_record(1, Stage::kChecked));
-  }
-  CandidateStore other(path, StoreScope{"fcc", "other-digest"});
-  EXPECT_EQ(other.size(), 0u);
-  EXPECT_EQ(other.recovered_line_errors(), 1u);
-}
-
 TEST(CandidateStore, MergeUnionsAndKeepsFurthestStage) {
   const std::string path_a = fresh_path("merge_a");
   const std::string path_b = fresh_path("merge_b");
@@ -393,6 +213,7 @@ TEST(CandidateStore, DefaultPathHonorsEnvDir) {
   const std::string path = default_store_path(test_scope());
   EXPECT_EQ(path.rfind("/tmp/nada-test-stores/", 0), 0u);
   EXPECT_NE(path.find("fcc-"), std::string::npos);
+  EXPECT_TRUE(path.ends_with(".nsb")) << path;
   ::unsetenv("NADA_STORE_DIR");
 }
 
@@ -481,7 +302,7 @@ TEST(ShardPlan, MergeShardFilesUnionsWorkerStores) {
 
 TEST(ShardPlan, MergeShardFilesFiltersMixedDomainJournals) {
   // One shard set serving two domains at once: every shard journal holds
-  // ABR-scope and CC-scope lines interleaved (workers for both searches
+  // ABR-scope and CC-scope frames interleaved (workers for both searches
   // sharing a store directory and shard files). A merge must accept
   // exactly the destination's scope and skip the other domain's records —
   // never alias them together.
@@ -492,15 +313,12 @@ TEST(ShardPlan, MergeShardFilesFiltersMixedDomainJournals) {
   std::vector<std::string> paths;
   for (std::size_t s = 0; s < 2; ++s) {
     const std::string path = fresh_path("mixed_shard" + std::to_string(s));
-    std::string content;
+    std::string content(kBinaryJournalMagic);
     for (std::size_t k = 5 * s; k < 5 * s + 5; ++k) {
-      content += CandidateStore::encode_line(
-                     make_test_record(salts[k], Stage::kProbed), abr_scope) +
-                 "\n";
-      content += CandidateStore::encode_line(
-                     make_test_record(100 + salts[k], Stage::kTrained),
-                     cc_scope) +
-                 "\n";
+      content += encode_record(make_test_record(salts[k], Stage::kProbed),
+                               abr_scope);
+      content += encode_record(
+          make_test_record(100 + salts[k], Stage::kTrained), cc_scope);
     }
     util::write_file_atomic(path, content);
     paths.push_back(path);
@@ -629,13 +447,14 @@ TEST(RecordCodec, RandomizedBinaryRoundTripProperty) {
   }
 }
 
-TEST(StoreConvert, JsonlToBinaryToJsonlIsByteIdentical) {
-  const std::string jsonl_path = fresh_path("convert_src");
+TEST(StoreConvert, BinaryToJsonlToBinaryIsByteIdentical) {
+  const std::string path = fresh_path("convert_src");
   {
-    // A realistic journal: per-fingerprint stage history (multiple lines
-    // per record), plus a second scope's lines interleaved — conversion
-    // must preserve all of it, order, duplicates, and scopes included.
-    CandidateStore store(jsonl_path, test_scope());
+    // A realistic journal: per-fingerprint stage history (multiple frames
+    // per record), plus a second scope's frame with non-finite scores —
+    // conversion must preserve all of it, order, duplicates, scopes and
+    // NaN/inf included.
+    CandidateStore store(path, test_scope());
     for (std::uint64_t salt = 0; salt < 8; ++salt) {
       store.put(make_test_record(salt, Stage::kChecked));
       if (salt % 2 == 0) store.put(make_test_record(salt, Stage::kProbed));
@@ -643,37 +462,103 @@ TEST(StoreConvert, JsonlToBinaryToJsonlIsByteIdentical) {
     }
   }
   {
-    std::ofstream out(jsonl_path, std::ios::binary | std::ios::app);
-    const StoreScope other{"other-env", "other-digest"};
+    std::ofstream out(path, std::ios::binary | std::ios::app);
     auto foreign = make_test_record(99, Stage::kTrained);
     foreign.arch = nn::ArchSpec::pensieve();
-    out << CandidateStore::encode_line(foreign, other) << "\n";
+    foreign.test_score = std::numeric_limits<double>::quiet_NaN();
+    foreign.emulation_score = -std::numeric_limits<double>::infinity();
+    out << encode_record(foreign, StoreScope{"other-env", "other-digest"});
   }
-  const std::string original = util::read_file(jsonl_path);
+  const std::string original = util::read_file(path);
 
-  const std::string nsb_path = fresh_binary_path("convert_mid");
+  const std::string jsonl_path = fresh_jsonl_path("convert_mid");
   const std::string back_path = fresh_path("convert_back");
-  const auto to_bin = convert_journal(jsonl_path, nsb_path);
-  EXPECT_EQ(to_bin.records, 15u);  // 8 + 4 + 2 + 1 foreign
-  EXPECT_EQ(to_bin.skipped, 0u);
-  const auto to_jsonl = convert_journal(nsb_path, back_path);
-  EXPECT_EQ(to_jsonl.records, 15u);
+  const auto to_jsonl = convert_journal(path, jsonl_path);
+  EXPECT_EQ(to_jsonl.records, 15u);  // 8 + 4 + 2 + 1 foreign
   EXPECT_EQ(to_jsonl.skipped, 0u);
+  const std::string exported = util::read_file(jsonl_path);
+  EXPECT_EQ(std::count(exported.begin(), exported.end(), '\n'), 15);
+  const auto to_bin = convert_journal(jsonl_path, back_path);
+  EXPECT_EQ(to_bin.records, 15u);
+  EXPECT_EQ(to_bin.skipped, 0u);
   EXPECT_EQ(util::read_file(back_path), original);
 
-  // And the binary intermediate opens as a working store with the same
+  // The other direction is exact too, for a file the codec wrote.
+  const std::string jsonl_again = fresh_jsonl_path("convert_again");
+  (void)convert_journal(back_path, jsonl_again);
+  EXPECT_EQ(util::read_file(jsonl_again), exported);
+
+  // And the re-imported journal opens as a working store with the same
   // record set.
-  CandidateStore store(nsb_path, test_scope());
+  CandidateStore store(back_path, test_scope());
   EXPECT_EQ(store.size(), 8u);
   const auto got = store.lookup(make_test_record(4, Stage::kTrained).fingerprint);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->stage, Stage::kTrained);
 }
 
+TEST(StoreConvert, JsonlPathIsRefusedUntilConverted) {
+  // A store written before the store became binary-only is a .jsonl file.
+  // Neither the store nor a shard merge may open it; converting it gives
+  // a journal that serves the same records.
+  const std::string source = fresh_path("refused_src");
+  {
+    CandidateStore store(source, test_scope());
+    store.put(make_test_record(1, Stage::kTrained));
+    store.put(make_test_record(2, Stage::kProbed));
+  }
+  const std::string jsonl = fresh_jsonl_path("refused");
+  (void)convert_journal(source, jsonl);
+  const std::string before = util::read_file(jsonl);
+
+  try {
+    CandidateStore store(jsonl, test_scope());
+    ADD_FAILURE() << "CandidateStore opened " << jsonl;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tools/store_convert"),
+              std::string::npos)
+        << e.what();
+  }
+  CandidateStore dest(fresh_path("refused_dest"), test_scope());
+  const std::vector<std::string> paths = {jsonl};
+  try {
+    (void)merge_shard_files(paths, dest);
+    ADD_FAILURE() << "merge_shard_files read " << jsonl;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tools/store_convert"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(dest.size(), 0u);
+  EXPECT_EQ(util::read_file(jsonl), before);  // refused, not rewritten
+  EXPECT_FALSE(util::file_exists(jsonl + ".idx"));
+
+  // Converted, the same journal opens and merges — even over an older
+  // journal whose sidecar describes other bytes (the converter drops it).
+  const std::string converted = fresh_path("refused_converted");
+  {
+    CandidateStore older(converted, test_scope());
+    older.put(make_test_record(7, Stage::kChecked));
+  }
+  ASSERT_TRUE(util::file_exists(converted + ".idx"));
+  EXPECT_EQ(convert_journal(jsonl, converted).records, 2u);
+  CandidateStore store(converted, test_scope());
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.recovered_line_errors(), 0u);
+  const auto got =
+      store.lookup(make_test_record(1, Stage::kTrained).fingerprint);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->stage, Stage::kTrained);
+  EXPECT_DOUBLE_EQ(got->test_score,
+                   make_test_record(1, Stage::kTrained).test_score);
+  const std::vector<std::string> converted_paths = {converted};
+  EXPECT_EQ(merge_shard_files(converted_paths, dest), 2u);
+}
+
 // ---- binary store backend --------------------------------------------------
 
 TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
-  const std::string path = fresh_binary_path("roundtrip");
+  const std::string path = fresh_path("roundtrip");
   const auto checked = make_test_record(1, Stage::kChecked);
   auto probed = make_test_record(2, Stage::kProbed);
   probed.compile_error = "blew up \"late\"\nwith a newline";
@@ -683,7 +568,6 @@ TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
   trained.arch->shared_trunk = true;
   {
     CandidateStore store(path, test_scope());
-    EXPECT_EQ(store.format(), StoreFormat::kBinary);
     EXPECT_TRUE(store.put(checked));
     EXPECT_TRUE(store.put(probed));
     EXPECT_TRUE(store.put(trained));
@@ -709,15 +593,20 @@ TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
   ASSERT_TRUE(got->arch.has_value());
   EXPECT_EQ(got->arch->temporal, nn::TemporalUnit::kLstm);
   EXPECT_TRUE(got->arch->shared_trunk);
+  EXPECT_TRUE(got->fully_trained);
   EXPECT_DOUBLE_EQ(got->test_score, trained.test_score);
   EXPECT_EQ(got->curve_epochs, trained.curve_epochs);
   EXPECT_EQ(got->median_curve, trained.median_curve);
+  const auto got_probed = reopened.lookup(probed.fingerprint);
+  ASSERT_TRUE(got_probed.has_value());
+  EXPECT_EQ(got_probed->compile_error, probed.compile_error);
+  EXPECT_EQ(got_probed->early_rewards, probed.early_rewards);
+  EXPECT_FALSE(got_probed->arch.has_value());
   EXPECT_FALSE(reopened.lookup(make_test_record(77, Stage::kChecked)
                                    .fingerprint)
                    .has_value());
 
-  // records() matches the JSONL contract: latest record per fingerprint in
-  // first-sighting order.
+  // records(): latest record per fingerprint in first-sighting order.
   const auto records = reopened.records();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].fingerprint.hex(), checked.fingerprint.hex());
@@ -725,7 +614,7 @@ TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
 }
 
 TEST(BinaryStore, PutIsMonotoneAndAppendsOneFramePerAcceptedPut) {
-  const std::string path = fresh_binary_path("monotone");
+  const std::string path = fresh_path("monotone");
   CandidateStore store(path, test_scope());
   auto record = make_test_record(7, Stage::kChecked);
   EXPECT_TRUE(store.put(record));
@@ -742,16 +631,14 @@ TEST(BinaryStore, PutIsMonotoneAndAppendsOneFramePerAcceptedPut) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->stage, Stage::kProbed);
   // Exactly two frames: one per accepted put.
-  const std::string content = util::read_file(path);
-  const ScanStats stats = scan_binary_journal(
-      std::string_view(content).substr(kBinaryJournalMagic.size()), nullptr);
+  const ScanStats stats = scan_file(util::read_file(path));
   EXPECT_EQ(stats.frames, 2u);
   EXPECT_FALSE(stats.torn_tail);
   EXPECT_GT(std::filesystem::file_size(path), after_one);
 }
 
 TEST(BinaryStore, TruncationAtEveryOffsetOfFinalRecordRecovers) {
-  const std::string path = fresh_binary_path("torture_src");
+  const std::string path = fresh_path("torture_src");
   std::uint64_t final_frame_start = 0;
   {
     CandidateStore store(path, test_scope());
@@ -765,7 +652,7 @@ TEST(BinaryStore, TruncationAtEveryOffsetOfFinalRecordRecovers) {
   const std::string full = util::read_file(path);
   ASSERT_GT(full.size(), final_frame_start);
 
-  const std::string work = fresh_binary_path("torture_work");
+  const std::string work = fresh_path("torture_work");
   for (std::uint64_t cut = final_frame_start; cut < full.size(); ++cut) {
     util::write_file_atomic(work, full.substr(0, cut));
     std::filesystem::remove(work + ".idx");
@@ -796,7 +683,7 @@ TEST(BinaryStore, TruncationAtEveryOffsetOfFinalRecordRecovers) {
 }
 
 TEST(BinaryStore, FlippedBodyByteIsSkippedOnRebuild) {
-  const std::string path = fresh_binary_path("flip_rebuild");
+  const std::string path = fresh_path("flip_rebuild");
   std::uint64_t second_frame_start = 0;
   {
     CandidateStore store(path, test_scope());
@@ -825,7 +712,7 @@ TEST(BinaryStore, FlippedBodyByteIsSkippedOnRebuild) {
 }
 
 TEST(BinaryStore, FlippedByteUnderValidSidecarIsDetectedAtLookup) {
-  const std::string path = fresh_binary_path("flip_lazy");
+  const std::string path = fresh_path("flip_lazy");
   std::uint64_t second_frame_start = 0;
   {
     CandidateStore store(path, test_scope());
@@ -856,7 +743,7 @@ TEST(BinaryStore, FlippedByteUnderValidSidecarIsDetectedAtLookup) {
 }
 
 TEST(BinaryStore, CorruptOrMissingSidecarIsRebuilt) {
-  const std::string path = fresh_binary_path("sidecar");
+  const std::string path = fresh_path("sidecar");
   {
     CandidateStore store(path, test_scope());
     for (std::uint64_t salt = 0; salt < 5; ++salt) {
@@ -894,7 +781,7 @@ TEST(BinaryStore, CorruptOrMissingSidecarIsRebuilt) {
   }
   // A sidecar built under a different scope is never trusted.
   {
-    const std::string foreign = fresh_binary_path("sidecar_foreign");
+    const std::string foreign = fresh_path("sidecar_foreign");
     CandidateStore other(foreign, StoreScope{"other", "digest"});
     other.put(make_test_record(50, Stage::kProbed));
     other.rebuild_index();
@@ -907,7 +794,7 @@ TEST(BinaryStore, CorruptOrMissingSidecarIsRebuilt) {
 }
 
 TEST(BinaryStore, StaleSidecarTriggersTailScanOnly) {
-  const std::string path = fresh_binary_path("tail_scan");
+  const std::string path = fresh_path("tail_scan");
   {
     CandidateStore store(path, test_scope());
     store.put(make_test_record(1, Stage::kChecked));
@@ -936,7 +823,7 @@ TEST(BinaryStore, StaleSidecarTriggersTailScanOnly) {
 }
 
 TEST(BinaryStore, ForeignScopeFramesAreSkipped) {
-  const std::string path = fresh_binary_path("foreign");
+  const std::string path = fresh_path("foreign");
   {
     CandidateStore store(path, StoreScope{"other-env", "other-digest"});
     store.put(make_test_record(1, Stage::kProbed));
@@ -951,7 +838,7 @@ TEST(BinaryStore, ForeignScopeFramesAreSkipped) {
 }
 
 TEST(BinaryStore, CompactDropsSupersededAndIsIdempotent) {
-  const std::string path = fresh_binary_path("compact");
+  const std::string path = fresh_path("compact");
   {
     // Stage history journaling: 3 + 2 + 1 = 6 frames for 3 fingerprints.
     CandidateStore store(path, test_scope());
@@ -963,31 +850,54 @@ TEST(BinaryStore, CompactDropsSupersededAndIsIdempotent) {
     }
     store.put(make_test_record(3, Stage::kChecked));
   }
+  // Plus a corrupt frame (one flipped body byte) and a crash's torn tail.
+  {
+    std::string corrupt =
+        encode_record(make_test_record(1, Stage::kChecked), test_scope());
+    corrupt[kFrameHeaderBytes + 3] =
+        static_cast<char>(corrupt[kFrameHeaderBytes + 3] ^ 0x40);
+    const char torn[] = {100, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 't'};
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << corrupt;
+    out.write(torn, sizeof(torn));
+  }
   CandidateStore store(path, test_scope());
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.recovered_line_errors(), 2u);  // corrupt frame + torn tail
   const auto before = std::filesystem::file_size(path);
-  EXPECT_EQ(store.compact(), 3u);  // 6 frames -> 3 records
+  // Open truncated the torn tail; 6 frames + 1 corrupt -> 3 records.
+  EXPECT_EQ(store.compact(), 4u);
+  EXPECT_EQ(store.recovered_line_errors(), 0u);
   EXPECT_LT(std::filesystem::file_size(path), before);
   EXPECT_EQ(store.size(), 3u);
+  const std::string compacted = util::read_file(path);
+  EXPECT_EQ(scan_file(compacted).frames, 3u);
+  EXPECT_EQ(scan_file(compacted).corrupt_frames, 0u);
   const auto got = store.lookup(make_test_record(1, Stage::kTrained).fingerprint);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->stage, Stage::kTrained);
 
   // Idempotence: a second compact drops nothing and rewrites identical
   // bytes (journal and record set are already canonical).
-  const std::string first_pass = util::read_file(path);
   EXPECT_EQ(store.compact(), 0u);
-  EXPECT_EQ(util::read_file(path), first_pass);
+  EXPECT_EQ(util::read_file(path), compacted);
 
   // The store stays writable and durable across compaction.
   EXPECT_TRUE(store.put(make_test_record(9, Stage::kProbed)));
   CandidateStore reopened(path, test_scope());
   EXPECT_EQ(reopened.size(), 4u);
+  EXPECT_EQ(reopened.recovered_line_errors(), 0u);
+  const auto r1 =
+      reopened.lookup(make_test_record(1, Stage::kChecked).fingerprint);
+  ASSERT_TRUE(r1.has_value());
+  EXPECT_EQ(r1->stage, Stage::kTrained);
+  EXPECT_EQ(r1->test_score, make_test_record(1, Stage::kTrained).test_score);
 }
 
-TEST(ShardPlan, MixedFormatShardMergeMatchesAllJsonl) {
-  // Three shard journals in mixed formats must merge byte-identically to
-  // the same three journals all-JSONL — the supervisor may restart workers
-  // under a different NADA_STORE_FORMAT mid-run.
+TEST(ShardPlan, ConvertedShardMergesByteIdentically) {
+  // Three overlapping shard journals merge to the same bytes whether one of
+  // them went through a JSONL export and back or not, and the furthest
+  // stage wins per fingerprint.
   const std::vector<std::uint64_t> salts = {1, 2, 3, 4, 5, 6};
   auto fill = [&](CandidateStore& store, std::size_t begin, std::size_t end,
                   Stage stage) {
@@ -995,78 +905,62 @@ TEST(ShardPlan, MixedFormatShardMergeMatchesAllJsonl) {
       store.put(make_test_record(salts[i], stage));
     }
   };
-  // JSONL originals.
-  std::vector<std::string> jsonl_paths;
+  std::vector<std::string> paths;
   for (int s = 0; s < 3; ++s) {
-    jsonl_paths.push_back(fresh_path("mixfmt" + std::to_string(s)));
+    paths.push_back(fresh_path("mergeconv" + std::to_string(s)));
   }
   {
-    CandidateStore s0(jsonl_paths[0], test_scope());
+    CandidateStore s0(paths[0], test_scope());
     fill(s0, 0, 4, Stage::kProbed);
-    CandidateStore s1(jsonl_paths[1], test_scope());
+    CandidateStore s1(paths[1], test_scope());
     fill(s1, 2, 6, Stage::kTrained);  // overlaps s0 at stages above it
-    CandidateStore s2(jsonl_paths[2], test_scope());
+    CandidateStore s2(paths[2], test_scope());
     fill(s2, 4, 6, Stage::kChecked);  // overlaps s1 at stages below it
   }
-  // Mixed set: shard 1 converted to binary, others untouched.
-  const std::string nsb_path = fresh_binary_path("mixfmt1");
-  (void)convert_journal(jsonl_paths[1], nsb_path);
-  const std::vector<std::string> mixed_paths = {jsonl_paths[0], nsb_path,
-                                                jsonl_paths[2]};
+  // Shard 1 exported to JSONL and imported back.
+  const std::string exported = fresh_jsonl_path("mergeconv1");
+  const std::string reimported = fresh_path("mergeconv1_back");
+  (void)convert_journal(paths[1], exported);
+  (void)convert_journal(exported, reimported);
+  const std::vector<std::string> converted_paths = {paths[0], reimported,
+                                                    paths[2]};
 
-  const std::string all_jsonl_dest = fresh_path("mixfmt_alljsonl");
-  const std::string mixed_dest = fresh_path("mixfmt_mixed");
-  const std::string binary_dest = fresh_binary_path("mixfmt_bin");
   std::size_t missing = 0;
-  CandidateStore all_jsonl(all_jsonl_dest, test_scope());
-  const std::size_t accepted_jsonl =
-      merge_existing_shard_files(jsonl_paths, all_jsonl, &missing);
+  CandidateStore original(fresh_path("mergeconv_orig"), test_scope());
+  const std::size_t accepted =
+      merge_existing_shard_files(paths, original, &missing);
   EXPECT_EQ(missing, 0u);
-  CandidateStore mixed(mixed_dest, test_scope());
-  EXPECT_EQ(merge_existing_shard_files(mixed_paths, mixed, &missing),
-            accepted_jsonl);
-  CandidateStore binary(binary_dest, test_scope());
-  EXPECT_EQ(merge_existing_shard_files(mixed_paths, binary, &missing),
-            accepted_jsonl);
+  EXPECT_EQ(accepted, 8u);  // 4 + 4 (two upgrades) + 0 (s2 is below s1)
+  CandidateStore converted(fresh_path("mergeconv_conv"), test_scope());
+  EXPECT_EQ(merge_existing_shard_files(converted_paths, converted, &missing),
+            accepted);
+  EXPECT_EQ(util::read_file(converted.path()),
+            util::read_file(original.path()));
 
-  // Byte-identical merged JSONL journals, and the binary destination holds
-  // the same record set line for line.
-  EXPECT_EQ(util::read_file(mixed_dest), util::read_file(all_jsonl_dest));
-  const auto expect_records = all_jsonl.records();
-  const auto binary_records = binary.records();
-  ASSERT_EQ(binary_records.size(), expect_records.size());
-  for (std::size_t i = 0; i < expect_records.size(); ++i) {
-    EXPECT_EQ(CandidateStore::encode_line(binary_records[i], test_scope()),
-              CandidateStore::encode_line(expect_records[i], test_scope()));
+  EXPECT_EQ(original.size(), salts.size());
+  for (std::size_t i = 0; i < salts.size(); ++i) {
+    const auto got = original.lookup(
+        make_test_record(salts[i], Stage::kChecked).fingerprint);
+    ASSERT_TRUE(got.has_value()) << salts[i];
+    EXPECT_EQ(got->stage, i < 2 ? Stage::kProbed : Stage::kTrained) << salts[i];
   }
 }
 
-TEST(CandidateStore, StoreFormatEnvDrivesExtensionAndDefaultPath) {
-  {
-    FormatEnvGuard guard(nullptr);
-    EXPECT_EQ(store_format_from_env(), StoreFormat::kJsonl);
-  }
-  {
-    FormatEnvGuard guard("binary");
-    EXPECT_EQ(store_format_from_env(), StoreFormat::kBinary);
-    ::setenv("NADA_STORE_DIR", "/tmp/nada_fmt_test", 1);
-    const std::string path = default_store_path(test_scope());
-    ::unsetenv("NADA_STORE_DIR");
-    EXPECT_TRUE(path.ends_with(".nsb")) << path;
-    EXPECT_EQ(format_for_path(path), StoreFormat::kBinary);
-  }
-  {
-    FormatEnvGuard guard("jsonl");
-    EXPECT_EQ(store_format_from_env(), StoreFormat::kJsonl);
-  }
-  {
-    FormatEnvGuard guard("parquet");  // typo / unsupported: loud failure
-    EXPECT_THROW((void)store_format_from_env(), std::runtime_error);
-  }
-  EXPECT_EQ(journal_extension(StoreFormat::kJsonl), std::string(".jsonl"));
+TEST(CandidateStore, EveryJournalPathIsBinary) {
+  // One format: the names the benchmark driver reads still answer, but
+  // they can only say binary.
+  EXPECT_EQ(store_format_from_env(), StoreFormat::kBinary);
   EXPECT_EQ(journal_extension(StoreFormat::kBinary), std::string(".nsb"));
-  EXPECT_EQ(format_for_path("a/b/x.jsonl"), StoreFormat::kJsonl);
-  EXPECT_EQ(format_for_path("a/b/x.nsb"), StoreFormat::kBinary);
+  EXPECT_EQ(std::string(kJournalExtension), ".nsb");
+  ::setenv("NADA_STORE_DIR", "/tmp/nada_fmt_test", 1);
+  const std::string path = default_store_path(test_scope());
+  ::unsetenv("NADA_STORE_DIR");
+  EXPECT_TRUE(path.ends_with(".nsb")) << path;
+  EXPECT_NO_THROW(require_journal_path("a/b/x.nsb", "test"));
+  for (const char* bad : {"a/b/x.jsonl", "a/b/x", "a/b/x.nsb.tmp"}) {
+    EXPECT_THROW(require_journal_path(bad, "test"), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(BinaryStore, MillionRecordOpenIsIndexTimeAndLookupIsLazy) {
@@ -1076,7 +970,7 @@ TEST(BinaryStore, MillionRecordOpenIsIndexTimeAndLookupIsLazy) {
   // runs in CI's store-format-smoke job via NADA_SCALE_GEN=1.
   const auto scale = util::ScaleConfig::from_env();
   const std::size_t n = scale.gen_count(1'000'000, 50'000);
-  const std::string path = fresh_binary_path("million");
+  const std::string path = fresh_path("million");
 
   // Synthesize the journal directly through the codec (put()'s
   // flush-per-append durability is the wrong tool for bulk fixture
@@ -1266,14 +1160,17 @@ TEST(SearchStore, ResumesFromTruncatedCheckpointToSameResult) {
   // Simulate a crash mid-way through the full-training stage: keep the
   // journal up to the first trained record, torn half-way through it.
   const std::string content = util::read_file(path);
-  const std::size_t first_trained = content.find("\"stage\":2");
-  ASSERT_NE(first_trained, std::string::npos);
-  const std::size_t line_start = content.rfind('\n', first_trained) + 1;
-  const std::size_t line_end = content.find('\n', first_trained);
-  ASSERT_NE(line_end, std::string::npos);
-  const std::string interrupted_journal =
-      content.substr(0, line_start) +
-      content.substr(line_start, (line_end - line_start) / 2);
+  std::size_t cut = 0;
+  scan_binary_journal(
+      std::string_view(content).substr(kBinaryJournalMagic.size()),
+      [&](std::uint64_t offset, std::string_view frame) {
+        const auto scoped = decode_record_any(frame);
+        if (cut == 0 && scoped && scoped->record.stage == Stage::kTrained) {
+          cut = kBinaryJournalMagic.size() + offset + frame.size() / 2;
+        }
+      });
+  ASSERT_NE(cut, 0u);
+  const std::string interrupted_journal = content.substr(0, cut);
   const std::string resume_path = fresh_path("pipeline_resume_torn");
   util::write_file_atomic(resume_path, interrupted_journal);
 

@@ -23,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include "journal_lines.h"
 #include "cc/cc_domain.h"
 #include "env/abr_domain.h"
 #include "filter/earlystop.h"
@@ -40,8 +41,9 @@ namespace {
 
 std::string fresh_path(const std::string& tag) {
   const std::string path =
-      ::testing::TempDir() + "nada_stream_" + tag + ".jsonl";
+      ::testing::TempDir() + "nada_stream_" + tag + ".nsb";
   std::remove(path.c_str());
+  std::remove((path + ".idx").c_str());
   return path;
 }
 
@@ -75,15 +77,7 @@ struct Fixture {
   util::ThreadPool pool{8};
 };
 
-std::vector<std::string> sorted_lines(const std::string& path) {
-  std::vector<std::string> lines;
-  std::istringstream in(util::read_file(path));
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
+using journals::sorted_lines;
 
 /// Runs one state search over `space` with the given window mode;
 /// journals into `store_path` when non-empty.

@@ -497,10 +497,20 @@ TEST(Scale, FromEnvValidatesModelFactor) {
   // NADA_SCALE_MODEL sizes every bench network: nan and inf would make
   // 2^63-unit layers, -1 wraps to 2^64-128 units, and unparseable text
   // would silently run at the default width.
-  for (const char* bad : {"nan", "inf", "-1", "0", "abc"}) {
+  // Above 1 is refused too: gen::ArchGenerator only scales widths down.
+  for (const char* bad : {"nan", "inf", "-1", "0", "abc", "1.5"}) {
     ::setenv("NADA_SCALE_MODEL", bad, 1);
     EXPECT_THROW(ScaleConfig::from_env(), std::runtime_error) << bad;
   }
+  ::setenv("NADA_SCALE_MODEL", "1.5", 1);
+  try {
+    (void)ScaleConfig::from_env();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("(0, 1]"), std::string::npos)
+        << e.what();
+  }
+  ::setenv("NADA_SCALE_MODEL", "1", 1);
+  EXPECT_DOUBLE_EQ(ScaleConfig::from_env().model, 1.0);
   ::setenv("NADA_SCALE_MODEL", "0.5", 1);
   EXPECT_DOUBLE_EQ(ScaleConfig::from_env().model, 0.5);
   ::unsetenv("NADA_SCALE_MODEL");
