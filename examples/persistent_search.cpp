@@ -3,12 +3,14 @@
 //   1. Open (or create) a content-addressed store for this funnel config.
 //   2. Run a state search as a search::SearchJob, stepping stage by stage
 //      with a StreamObserver printing live funnel events.
-//   3. Run it again: everything is served from cache, nothing retrains.
+//   3. Run it again: everything is served from cache, the baseline
+//      included, nothing retrains.
 //   4. Kill-and-resume: SearchJob::resume() continues from the journal.
 //
 // Run it twice to see the cache carry across processes:
 //   ./build/examples/persistent_search
-//   ./build/examples/persistent_search   # all cache hits
+//   ./build/examples/persistent_search   # all cache hits, and
+//                                        # "baseline: served from store"
 // The journal lands under $NADA_STORE_DIR (default ./nada_store).
 // examples/design_search.cpp shows the blocking form, one
 // run_to_completion() call.
@@ -71,6 +73,10 @@ int main() {
   }
   const search::SearchResult result = job.result();
   examples::print_funnel_summary(result);
+  // The trained original design is journaled too: a rerun reads it back.
+  std::cout << "baseline: "
+            << (result.baseline_from_store ? "served from store" : "trained")
+            << "\n";
 
   // --- 4. resuming an interrupted run: same stream, fresh job --------------
   // If the previous process died mid-funnel, the journal holds whatever

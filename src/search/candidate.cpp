@@ -26,24 +26,35 @@ CandidateSpec CandidateSpec::architecture(std::string id, nn::ArchSpec arch,
 
 store::Fingerprint fingerprint_of(const CandidateSpec& spec,
                                   const FixedDesign& fixed) {
+  return CandidateFingerprinter(fixed)(spec);
+}
+
+CandidateFingerprinter::CandidateFingerprinter(const FixedDesign& fixed) {
+  if (fixed.arch != nullptr) fixed_arch_ = store::fingerprint_arch(*fixed.arch);
+  if (fixed.state != nullptr) {
+    fixed_state_ = store::fingerprint_state_source(fixed.state->source());
+  }
+}
+
+store::Fingerprint CandidateFingerprinter::operator()(
+    const CandidateSpec& spec) const {
   switch (spec.kind) {
     case CandidateKind::kStateProgram:
-      if (fixed.arch == nullptr) {
+      if (!fixed_arch_.has_value()) {
         throw std::invalid_argument(
             "fingerprint_of: state-program candidate '" + spec.id +
             "' needs FixedDesign::arch");
       }
       return store::combine(store::fingerprint_state_source(spec.source),
-                            store::fingerprint_arch(*fixed.arch));
+                            *fixed_arch_);
     case CandidateKind::kArchitecture:
-      if (fixed.state == nullptr) {
+      if (!fixed_state_.has_value()) {
         throw std::invalid_argument(
             "fingerprint_of: architecture candidate '" + spec.id +
             "' needs FixedDesign::state");
       }
-      return store::combine(
-          store::fingerprint_arch(*spec.arch),
-          store::fingerprint_state_source(fixed.state->source()));
+      return store::combine(store::fingerprint_arch(*spec.arch),
+                            *fixed_state_);
   }
   throw std::logic_error("fingerprint_of: unknown candidate kind");
 }

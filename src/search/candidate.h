@@ -65,6 +65,20 @@ struct FixedDesign {
 [[nodiscard]] store::Fingerprint fingerprint_of(const CandidateSpec& spec,
                                                 const FixedDesign& fixed);
 
+/// fingerprint_of() with the FixedDesign half hashed once instead of once
+/// per candidate: a job fingerprints its whole stream against one fixed
+/// design. Produces exactly fingerprint_of's values; const calls are safe
+/// from many threads.
+class CandidateFingerprinter {
+ public:
+  explicit CandidateFingerprinter(const FixedDesign& fixed);
+  [[nodiscard]] store::Fingerprint operator()(const CandidateSpec& spec) const;
+
+ private:
+  std::optional<store::Fingerprint> fixed_arch_;   ///< of *fixed.arch
+  std::optional<store::Fingerprint> fixed_state_;  ///< of fixed.state's source
+};
+
 /// Fingerprint-derived training seeds (kind-salted, identical to the
 /// historical per-path constants): identical content always trains
 /// identically, which is what makes cached results transplantable across

@@ -101,12 +101,42 @@ void apply_full_train_record(const store::OutcomeRecord& record,
 /// them (content-derived seeds make the results identical anyway).
 std::vector<std::size_t> leaders_by_fingerprint(
     const std::vector<store::Fingerprint>& fps) {
-  std::unordered_map<std::string, std::size_t> first_seen;
+  std::unordered_map<store::Fingerprint, std::size_t, store::FingerprintHash>
+      first_seen;
+  first_seen.reserve(fps.size());
   std::vector<std::size_t> leader(fps.size());
   for (std::size_t i = 0; i < fps.size(); ++i) {
-    leader[i] = first_seen.try_emplace(fps[i].hex(), i).first->second;
+    leader[i] = first_seen.try_emplace(fps[i], i).first->second;
   }
   return leader;
+}
+
+/// Reserved id of the journaled baseline record (no generator emits it).
+constexpr char kBaselineId[] = "<baseline>";
+
+store::OutcomeRecord baseline_record(const rl::SessionResult& baseline,
+                                     const store::Fingerprint& fp) {
+  store::OutcomeRecord record;
+  record.fingerprint = fp;
+  record.stage = store::Stage::kTrained;
+  record.id = kBaselineId;
+  record.fully_trained = !baseline.failed;
+  record.test_score = baseline.test_score;
+  record.emulation_score = baseline.emulation_score;
+  record.curve_epochs = baseline.curve_epochs;
+  record.median_curve = baseline.median_curve;
+  return record;
+}
+
+/// The baseline a record serves; `sessions` stays empty (not journaled).
+rl::SessionResult baseline_from_record(const store::OutcomeRecord& record) {
+  rl::SessionResult baseline;
+  baseline.test_score = record.test_score;
+  baseline.emulation_score = record.emulation_score;
+  baseline.median_curve = record.median_curve;
+  baseline.curve_epochs = record.curve_epochs;
+  baseline.failed = !record.fully_trained;
+  return baseline;
 }
 
 void copy_probe_result(const CandidateOutcome& from, CandidateOutcome& to) {
@@ -164,6 +194,14 @@ store::StoreScope store_scope(const env::TaskDomain& domain,
   return scope;
 }
 
+store::Fingerprint baseline_fingerprint(const env::TaskDomain& domain,
+                                        const SearchConfig& config) {
+  return store::fingerprint_text(
+      "baseline:" +
+      store::fingerprint_state_source(domain.baseline_state_source()).hex() +
+      ";" + store::canonical_arch(config.baseline_arch));
+}
+
 rl::SessionResult train_baseline(const env::TaskDomain& domain,
                                  const SearchConfig& config,
                                  std::uint64_t seed, util::ThreadPool* pool) {
@@ -180,7 +218,8 @@ SearchJob::SearchJob(const env::TaskDomain& domain, SearchConfig config,
                      std::uint64_t seed, CandidateSource& source,
                      FixedDesign fixed, Options options)
     : domain_(&domain), config_(std::move(config)), seed_(seed),
-      source_(&source), fixed_(fixed), options_(options) {
+      source_(&source), fixed_(fixed), fingerprinter_(fixed),
+      options_(options) {
   validate_config(config_);
   if (options_.shard.has_value()) {
     plan_.emplace(options_.shard->num_shards);
@@ -225,8 +264,20 @@ store::StoreScope SearchJob::scope() const {
 const rl::SessionResult& SearchJob::original_baseline() {
   auto* cache = options_.baseline_cache != nullptr ? options_.baseline_cache
                                                    : &local_baseline_;
-  if (!cache->has_value()) {
+  if (cache->has_value()) return **cache;  // pre-filled or computed before
+  if (options_.store == nullptr) {
     *cache = train_baseline(*domain_, config_, seed_, options_.pool);
+    return **cache;
+  }
+  const store::Fingerprint fp = baseline_fingerprint(*domain_, config_);
+  const auto record = options_.store->lookup(fp);
+  if (record.has_value() && record->id == kBaselineId &&
+      record->stage == store::Stage::kTrained) {
+    *cache = baseline_from_record(*record);
+    result_.baseline_from_store = true;
+  } else {
+    *cache = train_baseline(*domain_, config_, seed_, options_.pool);
+    options_.store->put(baseline_record(**cache, fp));
   }
   return **cache;
 }
@@ -379,8 +430,15 @@ void SearchJob::stage_generate() {
   {
     obs::ScopedTimer timer(obs::maybe_histogram(
         options_.metrics, "search.generate.fingerprint_seconds"));
-    for (std::size_t i = 0; i < n; ++i) {
-      fps_[i] = fingerprint_of(specs_[i], fixed_);
+    // Each candidate canonicalizes and hashes its own half independently.
+    // Supervised lease workers run without a pool and stay serial.
+    auto fingerprint = [&](std::size_t i) {
+      fps_[i] = fingerprinter_(specs_[i]);
+    };
+    if (options_.pool != nullptr) {
+      options_.pool->parallel_for(n, fingerprint);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) fingerprint(i);
     }
   }
   leader_ = leaders_by_fingerprint(fps_);
@@ -436,8 +494,10 @@ void SearchJob::precheck_state(std::size_t i) {
   // NOTE: runs on pool threads; journaling happens on the stepping thread
   // afterwards (stage_precheck), in stream order, so the journal line for
   // a fingerprint shared by in-batch clones always carries the leader's id
-  // regardless of thread timing.
+  // regardless of thread timing. The lookup runs here, concurrently under
+  // the store's shared lock: no put happens until every check is done.
   CandidateOutcome& outcome = outcomes_[i];
+  if (options_.store != nullptr) cached_[i] = options_.store->lookup(fps_[i]);
   if (cached_[i].has_value()) {
     bool record_usable = true;
     if (cached_[i]->compiled && cached_[i]->stage < store::Stage::kTrained) {
@@ -486,20 +546,17 @@ void SearchJob::stage_precheck() {
       precheck_arch(i, *signature);
     }
   }
-  // State-program candidates look up first (all lookups precede any check,
-  // so in-batch clones read as misses and dedup through the leader table),
-  // then compile + fuzz in parallel — cheap and embarrassingly parallel.
+  // State-program candidates look up, compile and fuzz in parallel —
+  // cheap and embarrassingly parallel. Nothing is journaled until the
+  // parallel section is over, so every lookup precedes every write and
+  // in-batch clones read as misses and dedup through the leader table.
   // Cache hits serve the recorded verdict; compiled sources are still
   // re-parsed (a cheap parse) so later stages have the program object.
   std::vector<std::size_t> state_idx;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!in_shard(i) || specs_[i].kind != CandidateKind::kStateProgram) {
-      continue;
+    if (in_shard(i) && specs_[i].kind == CandidateKind::kStateProgram) {
+      state_idx.push_back(i);
     }
-    if (options_.store != nullptr) {
-      cached_[i] = options_.store->lookup(fps_[i]);
-    }
-    state_idx.push_back(i);
   }
   auto check = [&](std::size_t k) { precheck_state(state_idx[k]); };
   if (options_.pool != nullptr) {

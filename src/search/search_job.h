@@ -91,6 +91,15 @@ namespace nada::search {
                                                std::uint64_t seed,
                                                util::ThreadPool* pool);
 
+/// Store key of the journaled baseline: fingerprint_text("baseline:" +
+/// <hex fingerprint of the domain's baseline state source> + ";" +
+/// canonical_arch(config.baseline_arch)). Candidate keys are combine()d
+/// pairs, so this key cannot alias a candidate's, not even one whose source
+/// is the original program. baseline_arch is folded in because it is not
+/// part of the scope digest.
+[[nodiscard]] store::Fingerprint baseline_fingerprint(
+    const env::TaskDomain& domain, const SearchConfig& config);
+
 /// Cross-cutting knobs of one job. (Namespace-scope rather than nested so
 /// it can default-construct in SearchJob's own signatures.)
 struct JobOptions {
@@ -101,8 +110,11 @@ struct JobOptions {
   store::CandidateStore* store = nullptr;
   util::ThreadPool* pool = nullptr;
   /// Shared baseline slot: lets several jobs train the original design
-  /// once (or pass in one trained by train_baseline()). Must outlive the
-  /// job.
+  /// once (or pass in one trained by train_baseline()). A slot that is
+  /// already filled is used as is: neither looked up in nor journaled to
+  /// the store. An empty slot is filled the way a job without a slot gets
+  /// its baseline: from the store's baseline record when one is journaled,
+  /// else by training (and journaling) it. Must outlive the job.
   std::optional<rl::SessionResult>* baseline_cache = nullptr;
   /// Restrict execution to one shard of the fingerprint space (worker
   /// mode): candidates outside the slice are skipped and counted in
@@ -179,7 +191,11 @@ class SearchJob {
   [[nodiscard]] store::StoreScope scope() const;
 
   /// The trained baseline (computing it now if the baseline stage has not
-  /// run yet); cached in Options::baseline_cache when provided.
+  /// run yet); cached in Options::baseline_cache when provided. With a
+  /// store attached it is journaled as one reserved record (id
+  /// "<baseline>", stage trained, fingerprint baseline_fingerprint()), so a
+  /// rerun in the same scope reads it instead of retraining
+  /// (SearchResult::baseline_from_store).
   const rl::SessionResult& original_baseline();
 
  private:
@@ -235,6 +251,7 @@ class SearchJob {
   std::uint64_t seed_;
   CandidateSource* source_;
   FixedDesign fixed_;
+  CandidateFingerprinter fingerprinter_;  ///< fixed_'s half hashed once
   Options options_;
   std::optional<store::ShardPlan> plan_;
   std::vector<Observer*> observers_;

@@ -131,9 +131,17 @@ struct SearchResult {
   [[nodiscard]] std::size_t cache_hits() const {
     return n_precheck_cache_hits + n_probe_cache_hits + n_full_cache_hits;
   }
-  /// Baseline: the original design trained with the same protocol.
+  /// Baseline: the original design trained with the same protocol. When
+  /// served from the attached store's baseline record (see
+  /// baseline_from_store) it carries test_score, emulation_score,
+  /// median_curve, curve_epochs and failed bit for bit, and `sessions` is
+  /// empty: the per-seed results are not journaled.
   rl::SessionResult original;
   double original_score = 0.0;
+  /// True when this job read `original` from the attached store's baseline
+  /// record instead of training it. False when it trained the baseline or
+  /// used a slot pre-filled through JobOptions::baseline_cache.
+  bool baseline_from_store = false;
   /// Index into `outcomes` of the best fully trained candidate, or npos.
   std::size_t best_index = SIZE_MAX;
   double best_score = -1e9;

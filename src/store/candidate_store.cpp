@@ -1,11 +1,17 @@
 #include "store/candidate_store.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <shared_mutex>
 #include <stdexcept>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "obs/scoped_timer.h"
 #include "store/record_codec.h"
@@ -18,6 +24,19 @@ constexpr std::uint64_t kMagicBytes = 8;
 
 bool entry_less(const MmapIndex::Entry& a, const MmapIndex::Entry& b) {
   return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+}
+
+/// Reads exactly `bytes` at `offset`; false on EOF or an I/O error.
+bool pread_exact(int fd, char* out, std::size_t bytes, std::uint64_t offset) {
+  while (bytes > 0) {
+    const ssize_t got = ::pread(fd, out, bytes, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    out += got;
+    bytes -= static_cast<std::size_t>(got);
+    offset += static_cast<std::uint64_t>(got);
+  }
+  return true;
 }
 
 void resize_journal(const std::string& path, std::uint64_t bytes) {
@@ -60,31 +79,47 @@ CandidateStore::CandidateStore(std::string path, StoreScope scope)
   }
   util::ensure_directories(util::parent_directory(path_));
   const bool fresh_index = load();
-  open_append_handle();
+  open_handles();
   if (fresh_index) {
     // Recovery scanned records the sidecar did not cover; persist so the
     // next open is O(index) again. Loud: an unwritable sidecar here means
     // every future open pays a full rescan.
-    persist_index_locked();
+    try {
+      persist_index_locked();
+    } catch (...) {
+      ::close(read_fd_);  // no destructor runs for a throwing constructor
+      throw;
+    }
   }
 }
 
 CandidateStore::~CandidateStore() {
-  if (!index_dirty_) return;
-  // Best-effort: the sidecar is a cache, and a failed write here only costs
-  // the next open a tail scan.
-  try {
-    std::lock_guard lock(mutex_);
-    persist_index_locked();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
+  if (index_dirty_) {
+    // Best-effort: the sidecar is a cache, and a failed write here only
+    // costs the next open a tail scan.
+    try {
+      std::lock_guard lock(mutex_);
+      persist_index_locked();
+    } catch (...) {  // NOLINT(bugprone-empty-catch)
+    }
   }
+  if (read_fd_ >= 0) ::close(read_fd_);
 }
 
 std::uint64_t CandidateStore::scope_hash() const {
   return MmapIndex::scope_hash(scope_.env, scope_.config_digest);
 }
 
-void CandidateStore::open_append_handle() {
+void CandidateStore::open_read_fd() {
+  if (read_fd_ >= 0) ::close(read_fd_);
+  read_fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (read_fd_ < 0) {
+    throw std::runtime_error("CandidateStore: cannot open " + path_ +
+                             " for reading");
+  }
+}
+
+void CandidateStore::open_handles() {
   out_.open(path_, std::ios::binary | std::ios::app);
   if (!out_) {
     throw std::runtime_error("CandidateStore: cannot open " + path_ +
@@ -101,11 +136,7 @@ void CandidateStore::open_append_handle() {
     }
     append_offset_ = kMagicBytes;
   }
-  in_.open(path_, std::ios::binary);
-  if (!in_) {
-    throw std::runtime_error("CandidateStore: cannot open " + path_ +
-                             " for reading");
-  }
+  open_read_fd();
 }
 
 bool CandidateStore::load() {
@@ -169,8 +200,7 @@ bool CandidateStore::load() {
               return;
             }
             ++decoded_frames_;
-            const std::string key = record->fingerprint.hex();
-            const auto it = delta_.find(key);
+            const auto it = delta_.find(record->fingerprint);
             std::optional<Stage> current;
             if (it != delta_.end()) {
               current = it->second.stage;
@@ -179,7 +209,8 @@ bool CandidateStore::load() {
             }
             if (!current.has_value()) ++distinct_;
             if (!current.has_value() || *current < record->stage) {
-              delta_[key] = DeltaEntry{covered + offset, record->stage};
+              delta_[record->fingerprint] =
+                  DeltaEntry{covered + offset, record->stage};
             }
           });
       line_errors_ += stats.corrupt_frames;
@@ -202,7 +233,7 @@ bool CandidateStore::load() {
 std::size_t CandidateStore::rebuild_index_locked() {
   std::string content = util::read_file_if_exists(path_).value_or("");
   if (content.size() < kMagicBytes) content.clear();
-  std::unordered_map<std::string, MmapIndex::Entry> latest;
+  std::unordered_map<Fingerprint, MmapIndex::Entry, FingerprintHash> latest;
   line_errors_ = 0;
   const std::string_view frames_view =
       content.empty() ? std::string_view{}
@@ -220,8 +251,7 @@ std::size_t CandidateStore::rebuild_index_locked() {
         entry.lo = record->fingerprint.lo;
         entry.offset = kMagicBytes + offset;
         entry.stage = static_cast<std::uint32_t>(record->stage);
-        auto [it, inserted] =
-            latest.emplace(record->fingerprint.hex(), entry);
+        auto [it, inserted] = latest.emplace(record->fingerprint, entry);
         if (!inserted && it->second.stage < entry.stage) it->second = entry;
       });
   line_errors_ += stats.corrupt_frames;
@@ -256,11 +286,10 @@ std::size_t CandidateStore::rebuild_index() {
 void CandidateStore::persist_index_locked() {
   std::vector<MmapIndex::Entry> fresh;
   fresh.reserve(delta_.size());
-  for (const auto& [key, d] : delta_) {
-    const auto fp = Fingerprint::from_hex(key);
+  for (const auto& [fp, d] : delta_) {
     MmapIndex::Entry entry;
-    entry.hi = fp->hi;
-    entry.lo = fp->lo;
+    entry.hi = fp.hi;
+    entry.lo = fp.lo;
     entry.offset = d.offset;
     entry.stage = static_cast<std::uint32_t>(d.stage);
     fresh.push_back(entry);
@@ -302,7 +331,7 @@ void CandidateStore::set_metrics(obs::MetricsRegistry* metrics) {
 
 std::optional<CandidateStore::DeltaEntry> CandidateStore::entry_locked(
     const Fingerprint& fp) const {
-  const auto it = delta_.find(fp.hex());
+  const auto it = delta_.find(fp);
   if (it != delta_.end()) return it->second;
   if (const auto entry = base_.find(fp)) {
     return DeltaEntry{entry->offset, static_cast<Stage>(entry->stage)};
@@ -312,12 +341,9 @@ std::optional<CandidateStore::DeltaEntry> CandidateStore::entry_locked(
 
 std::optional<OutcomeRecord> CandidateStore::read_frame_locked(
     std::uint64_t offset) const {
-  if (!in_.is_open()) return std::nullopt;
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-  std::string header(kFrameHeaderBytes, '\0');
-  in_.read(header.data(), static_cast<std::streamsize>(header.size()));
-  if (static_cast<std::size_t>(in_.gcount()) != header.size()) {
+  if (read_fd_ < 0) return std::nullopt;
+  char header[kFrameHeaderBytes];
+  if (!pread_exact(read_fd_, header, sizeof header, offset)) {
     ++line_errors_;
     return std::nullopt;
   }
@@ -331,10 +357,10 @@ std::optional<OutcomeRecord> CandidateStore::read_frame_locked(
     ++line_errors_;
     return std::nullopt;
   }
-  std::string frame = std::move(header);
-  frame.resize(kFrameHeaderBytes + len);
-  in_.read(frame.data() + kFrameHeaderBytes, static_cast<std::streamsize>(len));
-  if (static_cast<std::size_t>(in_.gcount()) != len) {
+  std::string frame(kFrameHeaderBytes + len, '\0');
+  std::memcpy(frame.data(), header, sizeof header);
+  if (!pread_exact(read_fd_, frame.data() + kFrameHeaderBytes, len,
+                   offset + kFrameHeaderBytes)) {
     ++line_errors_;
     return std::nullopt;
   }
@@ -354,7 +380,7 @@ std::optional<OutcomeRecord> CandidateStore::lookup(
     const Fingerprint& fp) const {
   obs::MetricsRegistry* metrics = metrics_.load(std::memory_order_acquire);
   obs::ScopedTimer timer(obs::maybe_histogram(metrics, "store.lookup.seconds"));
-  std::lock_guard lock(mutex_);
+  std::shared_lock lock(mutex_);
   std::optional<OutcomeRecord> result;
   if (const auto entry = entry_locked(fp)) {
     result = read_frame_locked(entry->offset);
@@ -386,8 +412,7 @@ bool CandidateStore::put(const OutcomeRecord& record) {
     throw std::runtime_error("CandidateStore: append to " + path_ +
                              " failed (disk full or I/O error)");
   }
-  delta_[record.fingerprint.hex()] =
-      DeltaEntry{append_offset_, record.stage};
+  delta_[record.fingerprint] = DeltaEntry{append_offset_, record.stage};
   if (!existing.has_value()) ++distinct_;
   append_offset_ += frame.size();
   index_dirty_ = true;
@@ -395,7 +420,7 @@ bool CandidateStore::put(const OutcomeRecord& record) {
 }
 
 std::size_t CandidateStore::size() const {
-  std::lock_guard lock(mutex_);
+  std::shared_lock lock(mutex_);
   return distinct_;
 }
 
@@ -404,17 +429,16 @@ std::vector<OutcomeRecord> CandidateStore::scan_records_locked(
   std::vector<OutcomeRecord> out;
   const auto content = util::read_file_if_exists(path_);
   if (!content.has_value() || content->size() < kMagicBytes) return out;
-  std::unordered_map<std::string, std::size_t> by_key;
+  std::unordered_map<Fingerprint, std::size_t, FingerprintHash> by_key;
   const ScanStats scanned = scan_binary_journal(
       std::string_view(*content).substr(kMagicBytes),
       [&](std::uint64_t, std::string_view frame) {
         auto record = decode_record(frame, scope_);
         if (!record.has_value()) return;  // snapshot: no error mutation
         ++decoded_frames_;
-        const std::string key = record->fingerprint.hex();
-        const auto it = by_key.find(key);
+        const auto it = by_key.find(record->fingerprint);
         if (it == by_key.end()) {
-          by_key.emplace(key, out.size());
+          by_key.emplace(record->fingerprint, out.size());
           out.push_back(std::move(*record));
         } else if (out[it->second].stage < record->stage) {
           out[it->second] = std::move(*record);
@@ -425,7 +449,7 @@ std::vector<OutcomeRecord> CandidateStore::scan_records_locked(
 }
 
 std::vector<OutcomeRecord> CandidateStore::records() const {
-  std::lock_guard lock(mutex_);
+  std::shared_lock lock(mutex_);
   return scan_records_locked();
 }
 
@@ -486,22 +510,20 @@ std::size_t CandidateStore::compact() {
   // either way: after a rename the old ones point at an unlinked inode and
   // further puts would checkpoint into the void.
   out_.close();
-  in_.close();
   if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    // Leave the original journal intact; reopen it before surfacing the
-    // failure.
+    // Leave the original journal intact (read_fd_ still points at it);
+    // reopen the append handle before surfacing the failure.
     out_.open(path_, std::ios::binary | std::ios::app);
-    in_.open(path_, std::ios::binary);
     throw std::runtime_error("CandidateStore::compact: rename " + tmp_path +
                              " -> " + path_ + " failed");
   }
   append_offset_ = offset;
   out_.open(path_, std::ios::binary | std::ios::app);
-  in_.open(path_, std::ios::binary);
-  if (!out_ || !in_) {
+  if (!out_) {
     throw std::runtime_error("CandidateStore::compact: cannot reopen " +
                              path_);
   }
+  open_read_fd();
   std::sort(entries.begin(), entries.end(), entry_less);
   MmapIndex::write(index_path(), entries, append_offset_, scope_hash());
   if (!base_.open(index_path(), scope_hash())) {

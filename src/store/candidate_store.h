@@ -26,15 +26,16 @@
 // products go; `put` is append-only and monotone (a record never regresses
 // the stage already journaled for its fingerprint, and same-stage
 // duplicates are not re-appended, so steady-state reruns do not grow the
-// file). All public methods are thread-safe: probe/training workers
-// checkpoint concurrently from the pool.
+// file). All public methods are thread-safe: lookup() and records() take a
+// shared lock and read frames with pread(), so pool threads look up
+// concurrently; put(), merge_from(), compact() and rebuild_index() are
+// exclusive, and a waiting writer goes ahead of new readers.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -45,6 +46,7 @@
 #include "obs/metrics.h"
 #include "store/fingerprint.h"
 #include "store/mmap_index.h"
+#include "util/rw_lock.h"
 
 namespace nada::store {
 
@@ -124,7 +126,8 @@ class CandidateStore {
   CandidateStore& operator=(const CandidateStore&) = delete;
 
   /// Latest-stage record for a fingerprint. Reads exactly one frame from
-  /// disk; a frame that fails its checksum is counted in
+  /// disk under a shared lock, so lookups from many threads run
+  /// concurrently; a frame that fails its checksum is counted in
   /// recovered_line_errors() and reported as a miss.
   [[nodiscard]] std::optional<OutcomeRecord> lookup(
       const Fingerprint& fp) const;
@@ -178,8 +181,7 @@ class CandidateStore {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] const StoreScope& scope() const { return scope_; }
   [[nodiscard]] std::size_t recovered_line_errors() const {
-    std::lock_guard lock(mutex_);
-    return line_errors_;
+    return line_errors_.load(std::memory_order_relaxed);
   }
 
   /// Frames deserialized since open (recovery scans, lookup and records()
@@ -187,8 +189,7 @@ class CandidateStore {
   /// an indexed open this is 0, and a cache-hit lookup raises it by
   /// exactly 1.
   [[nodiscard]] std::size_t decoded_frames() const {
-    std::lock_guard lock(mutex_);
-    return decoded_frames_;
+    return decoded_frames_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -216,30 +217,38 @@ class CandidateStore {
   void persist_index_locked();
   std::string index_path() const { return path_ + ".idx"; }
   std::uint64_t scope_hash() const;
-  void open_append_handle();
+  /// Opens the append handle (writing the magic into a new journal) and
+  /// the read descriptor.
+  void open_handles();
+  /// (Re)opens read_fd_ on path_; throws on failure.
+  void open_read_fd();
 
-  mutable std::mutex mutex_;
+  /// Shared by readers (lookup, records, size), exclusive for writers. A
+  /// waiting writer goes ahead of new readers, so lookups cannot starve put().
+  mutable util::WriterPreferringSharedMutex mutex_;
   // atomic, not mutex-guarded: lookup/put read it before taking mutex_ so
   // the recorded latency includes lock wait (the contended part).
   std::atomic<obs::MetricsRegistry*> metrics_{nullptr};
   std::string path_;
   StoreScope scope_;
   std::ofstream out_;  ///< append handle, kept open for the store's life
-  /// Read handle for on-demand frame loads (seek + read under mutex_;
-  /// reopened after compaction swaps the inode).
-  mutable std::ifstream in_;
+  /// Read descriptor for on-demand frame loads: pread() keeps no file
+  /// position, so concurrent lookups share it. Reopened after compaction
+  /// swaps the inode.
+  int read_fd_ = -1;
 
   // Offsets only; frames are read on demand.
   MmapIndex base_;  ///< mmap'd sidecar (may be closed when journal is new)
-  // fingerprint hex -> entry for records appended/upgraded since the
-  // sidecar was built (overrides base_).
-  std::unordered_map<std::string, DeltaEntry> delta_;
+  // Entries for records appended/upgraded since the sidecar was built
+  // (overrides base_).
+  std::unordered_map<Fingerprint, DeltaEntry, FingerprintHash> delta_;
   std::size_t distinct_ = 0;        ///< distinct fingerprints (base + new)
   std::uint64_t append_offset_ = 0; ///< journal byte length
   bool index_dirty_ = false;
 
-  mutable std::size_t line_errors_ = 0;
-  mutable std::size_t decoded_frames_ = 0;
+  // Atomic so that concurrent lookups under the shared lock can count.
+  mutable std::atomic<std::size_t> line_errors_{0};
+  mutable std::atomic<std::size_t> decoded_frames_{0};
 };
 
 /// Default journal location: $NADA_STORE_DIR (default "nada_store")

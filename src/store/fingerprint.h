@@ -15,6 +15,7 @@
 // two component fingerprints into the store key.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -38,6 +39,15 @@ struct Fingerprint {
   /// Parses `hex()` output; nullopt on malformed input.
   [[nodiscard]] static std::optional<Fingerprint> from_hex(
       std::string_view text);
+};
+
+/// Hash functor keying unordered containers by the 128-bit value itself
+/// (both halves are already avalanche-mixed), so a lookup never formats a
+/// hex() string.
+struct FingerprintHash {
+  [[nodiscard]] std::size_t operator()(const Fingerprint& fp) const noexcept {
+    return static_cast<std::size_t>(fp.hi ^ (fp.lo * 0x9e3779b97f4a7c15ULL));
+  }
 };
 
 /// Hashes arbitrary text (two independent seeded FNV-1a streams, each

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace nada::util {
 
@@ -40,23 +41,32 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
-  }
-  // Wait for every item before rethrowing: bailing out on the first failed
-  // future would destroy `futures` (and let the caller destroy `fn`) while
-  // workers still reference them.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t error_index = n;
+  std::exception_ptr error;
+  auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+      }
     }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  };
+  const std::size_t tasks = std::min(n, size());
+  std::vector<std::future<void>> futures;
+  futures.reserve(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) futures.push_back(submit(drain));
+  // drain() catches everything, so these waits never throw; every task must
+  // finish before the locals it references go out of scope.
+  for (auto& f : futures) f.wait();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace nada::util

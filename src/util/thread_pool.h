@@ -1,6 +1,8 @@
 // Minimal fixed-size thread pool used to train candidate designs in
 // parallel. Tasks are type-erased closures; parallel_for provides the
-// common "independent work items" pattern with deterministic result slots.
+// common "independent work items" pattern with deterministic result slots,
+// claiming items from a shared counter so a 2400-item loop costs a few
+// tasks, not 2400 packaged tasks and futures.
 #pragma once
 
 #include <condition_variable>
@@ -46,9 +48,11 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all finish.
-  /// fn must be safe to call concurrently for distinct i. If any invocation
-  /// throws, every remaining item still runs to completion and the first
-  /// captured exception is rethrown on the calling thread.
+  /// fn must be safe to call concurrently for distinct i. min(n, size())
+  /// tasks claim indices in increasing order from one atomic counter. If
+  /// any invocation throws, every remaining item still runs to completion
+  /// and the exception of the lowest throwing index is rethrown on the
+  /// calling thread (deterministic whatever the scheduling).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -1,6 +1,7 @@
 // End-to-end golden runs of the real shard_worker binary: the ranking
 // lines and the journal contents (size + digest of each journal's JSONL
-// export) of fixed-seed single-process searches, compared with outputs
+// export, with the journaled baseline record pinned on its own line) of
+// fixed-seed single-process searches, compared with outputs
 // recorded in tests/golden/. They pin the whole funnel — probe, baseline,
 // and full training — across thread counts and in streaming mode, so a
 // change to any training path that moves a single result bit shows up
@@ -17,6 +18,7 @@
 
 #include "golden.h"
 #include "store/convert.h"
+#include "store/record_codec.h"
 #include "svc/process.h"
 #include "util/fs.h"
 #include "util/strings.h"
@@ -32,11 +34,22 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
+std::string size_and_digest(const std::string& bytes) {
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(util::fnv1a64(bytes)));
+  return "bytes " + std::to_string(bytes.size()) + " fnv1a64 " + digest;
+}
+
 /// Runs `shard_worker --mode single --quiet <args>` into a fresh store and
-/// returns the baseline/RANK lines plus one `journal` line per journal:
-/// the name, byte count and FNV-1a digest of its JSONL export, named after
-/// the journal's stem (so the pins read the same as the export format).
-/// The `.idx` sidecar is a cache and is not pinned.
+/// returns the baseline/RANK lines plus, per journal, one `journal` line
+/// and one `baseline-record` line, named after the journal's stem (so the
+/// pins read the same as the export format). The `journal` line is the
+/// byte count and FNV-1a digest of the JSONL export without the journaled
+/// baseline record (the export as it was before the baseline was
+/// journaled); the `baseline-record` line is the same for that one record
+/// line, so every exported byte stays pinned. The `.idx` sidecar is a cache
+/// and is not pinned.
 std::string single_run(const std::string& name,
                        const std::vector<std::string>& args) {
   const std::string dir = fresh_dir(name);
@@ -68,12 +81,23 @@ std::string single_run(const std::string& name,
     const std::string exported =
         dir + "/" + path.stem().string() + ".jsonl";
     (void)store::convert_journal(path.string(), exported);
-    const std::string bytes = util::read_file(exported);
-    char digest[17];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(util::fnv1a64(bytes)));
-    out += "journal " + path.stem().string() + ".jsonl bytes " +
-           std::to_string(bytes.size()) + " fnv1a64 " + digest + "\n";
+    std::string candidates;
+    std::string baseline;
+    std::size_t baseline_lines = 0;
+    std::istringstream lines(util::read_file(exported));
+    for (std::string line; std::getline(lines, line);) {
+      const auto record = store::decode_jsonl_line_any(line);
+      if (record.has_value() && record->record.id == "<baseline>") {
+        baseline += line + "\n";
+        ++baseline_lines;
+      } else {
+        candidates += line + "\n";
+      }
+    }
+    EXPECT_EQ(baseline_lines, 1u) << path;
+    const std::string name = path.stem().string() + ".jsonl ";
+    out += "journal " + name + size_and_digest(candidates) + "\n";
+    out += "baseline-record " + name + size_and_digest(baseline) + "\n";
   }
   std::filesystem::remove_all(dir);
   return out;

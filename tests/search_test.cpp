@@ -10,6 +10,10 @@
 //   * early stopping and the shared baseline: a model that stops every
 //     probe trains nothing, and jobs sharing a baseline slot train the
 //     original design once,
+//   * the journaled baseline: a second job on the same store serves the
+//     original design bit for bit without training (failed or not, batch
+//     or lazily trained at a streaming fold), and a different
+//     baseline_arch under the same scope retrains,
 //   * observer coverage: every stage fires start/finish with a timing, and
 //     every candidate milestone (entered / cached / failed / probed /
 //     early-stopped / trained) is represented — no funnel transition goes
@@ -38,6 +42,7 @@
 #include "search/observer.h"
 #include "search/search_job.h"
 #include "search/shard_runner.h"
+#include "store/record_codec.h"
 #include "store/shard.h"
 #include "util/fs.h"
 
@@ -348,6 +353,239 @@ TEST(SearchJobBaseline, SharedSlotTrainsTheBaselineOnce) {
                    FixedDesign{nullptr, &config.baseline_arch}, options);
   EXPECT_EQ(&second.original_baseline(), &*baseline);
   EXPECT_EQ(second.original_baseline().test_score, 12345.0);
+}
+
+// ---- the journaled baseline ------------------------------------------------
+
+/// Delegates to `inner` except that every training episode throws, so every
+/// session of every design fails; evaluation and the scope are unchanged.
+class FailingTrainDomain final : public env::TaskDomain {
+ public:
+  explicit FailingTrainDomain(const env::TaskDomain& inner) : inner_(inner) {}
+  const std::string& name() const override { return inner_.name(); }
+  const dsl::BindingCatalog& catalog() const override {
+    return inner_.catalog();
+  }
+  std::size_t num_actions() const override { return inner_.num_actions(); }
+  std::size_t episode_length() const override {
+    return inner_.episode_length();
+  }
+  double reward_scale_hint() const override {
+    return inner_.reward_scale_hint();
+  }
+  const std::string& baseline_state_source() const override {
+    return inner_.baseline_state_source();
+  }
+  std::unique_ptr<env::Episode> start_train_episode(
+      env::Fidelity, util::Rng&) const override {
+    throw std::runtime_error("injected training failure");
+  }
+  std::size_t num_eval_units() const override {
+    return inner_.num_eval_units();
+  }
+  std::unique_ptr<env::Episode> start_eval_episode(
+      std::size_t unit, env::Fidelity fidelity,
+      util::Rng& rng) const override {
+    return inner_.start_eval_episode(unit, fidelity, rng);
+  }
+  std::string scope_env() const override { return inner_.scope_env(); }
+  void append_scope_spec(std::ostream& out) const override {
+    inner_.append_scope_spec(out);
+  }
+
+ private:
+  const env::TaskDomain& inner_;
+};
+
+void expect_same_baseline(const rl::SessionResult& a,
+                          const rl::SessionResult& b) {
+  // Bit for bit: EXPECT_EQ on doubles and vectors of doubles.
+  EXPECT_EQ(a.test_score, b.test_score);
+  EXPECT_EQ(a.emulation_score, b.emulation_score);
+  EXPECT_EQ(a.median_curve, b.median_curve);
+  EXPECT_EQ(a.curve_epochs, b.curve_epochs);
+  EXPECT_EQ(a.failed, b.failed);
+}
+
+/// The baseline record's JSONL export line, or "" when none is journaled.
+std::string baseline_line(const store::CandidateStore& store,
+                          const env::TaskDomain& domain,
+                          const SearchConfig& config) {
+  const auto record = store.lookup(baseline_fingerprint(domain, config));
+  return record.has_value() ? store::encode_jsonl_line(*record, store.scope())
+                            : "";
+}
+
+TEST(SearchJobBaseline, SecondJobServesTheBaselineFromTheStore) {
+  Fixture fx;
+  SearchConfig config = tiny_config();
+  config.num_candidates = 12;
+  const std::string path = fresh_path("baseline_served");
+  store::CandidateStore store(path, store_scope(fx.domain, config, 4321));
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                88);
+  StateCandidateSource source(generator);
+  JobOptions options;
+  options.store = &store;
+  options.pool = &fx.pool;
+  SearchJob first(fx.domain, config, 4321, source,
+                  FixedDesign{nullptr, &config.baseline_arch}, options);
+  const auto cold = first.run_to_completion();
+  EXPECT_FALSE(cold.baseline_from_store);
+  EXPECT_FALSE(cold.original.failed);
+  EXPECT_FALSE(cold.original.sessions.empty());
+
+  const auto record = store.lookup(baseline_fingerprint(fx.domain, config));
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->id, "<baseline>");
+  EXPECT_EQ(record->stage, store::Stage::kTrained);
+  EXPECT_TRUE(record->fully_trained);
+
+  const std::size_t records_before = store.size();
+  SearchJob second(fx.domain, config, 4321, source,
+                   FixedDesign{nullptr, &config.baseline_arch}, options);
+  const auto warm = second.resume();
+  EXPECT_TRUE(warm.baseline_from_store);
+  EXPECT_TRUE(warm.original.sessions.empty());  // served, not trained
+  expect_same_baseline(cold.original, warm.original);
+  EXPECT_EQ(cold.original_score, warm.original_score);
+  EXPECT_EQ(warm.n_probes_run, 0u);
+  EXPECT_EQ(warm.n_full_trains_run, 0u);
+  EXPECT_EQ(store.size(), records_before);  // nothing journaled twice
+}
+
+TEST(SearchJobBaseline, OtherBaselineArchUnderTheSameScopeRetrains) {
+  Fixture fx;
+  const SearchConfig config = tiny_config();
+  SearchConfig other = config;
+  other.baseline_arch.merge_hidden = 8;
+  // baseline_arch is not in the scope digest: both share one journal...
+  ASSERT_EQ(store_scope(fx.domain, config, 55),
+            store_scope(fx.domain, other, 55));
+  // ...so the record key must tell them apart.
+  ASSERT_NE(baseline_fingerprint(fx.domain, config),
+            baseline_fingerprint(fx.domain, other));
+  const std::string path = fresh_path("baseline_arch");
+  store::CandidateStore store(path, store_scope(fx.domain, config, 55));
+  VectorCandidateSource source({});
+  JobOptions options;
+  options.store = &store;
+  options.pool = &fx.pool;
+
+  SearchJob first(fx.domain, config, 55, source,
+                  FixedDesign{nullptr, &config.baseline_arch}, options);
+  (void)first.original_baseline();
+  EXPECT_FALSE(first.result().baseline_from_store);
+  SearchJob second(fx.domain, other, 55, source,
+                   FixedDesign{nullptr, &other.baseline_arch}, options);
+  (void)second.original_baseline();
+  EXPECT_FALSE(second.result().baseline_from_store);
+  EXPECT_EQ(store.size(), 2u);
+  SearchJob third(fx.domain, other, 55, source,
+                  FixedDesign{nullptr, &other.baseline_arch}, options);
+  expect_same_baseline(third.original_baseline(), second.original_baseline());
+  EXPECT_TRUE(third.result().baseline_from_store);
+
+  // A pre-filled slot is used as is: not looked up, not journaled.
+  const std::string fresh = fresh_path("baseline_prefilled");
+  store::CandidateStore empty(fresh, store_scope(fx.domain, config, 55));
+  std::optional<rl::SessionResult> slot = first.original_baseline();
+  options.store = &empty;
+  options.baseline_cache = &slot;
+  SearchJob prefilled(fx.domain, config, 55, source,
+                      FixedDesign{nullptr, &config.baseline_arch}, options);
+  EXPECT_EQ(&prefilled.original_baseline(), &*slot);
+  EXPECT_FALSE(prefilled.result().baseline_from_store);
+  EXPECT_EQ(empty.size(), 0u);
+}
+
+TEST(SearchJobBaseline, FailedBaselineIsJournaledAndServedAsFailed) {
+  Fixture fx;
+  const FailingTrainDomain domain(fx.domain);
+  const SearchConfig config = tiny_config();
+  const std::string path = fresh_path("baseline_failed");
+  store::CandidateStore store(path, store_scope(domain, config, 9));
+  VectorCandidateSource source({});
+  JobOptions options;
+  options.store = &store;
+  options.pool = &fx.pool;
+
+  SearchJob first(domain, config, 9, source,
+                  FixedDesign{nullptr, &config.baseline_arch}, options);
+  const rl::SessionResult trained = first.original_baseline();
+  ASSERT_TRUE(trained.failed);
+  EXPECT_FALSE(first.result().baseline_from_store);
+  const auto record = store.lookup(baseline_fingerprint(domain, config));
+  ASSERT_TRUE(record.has_value());
+  EXPECT_FALSE(record->fully_trained);
+
+  SearchJob second(domain, config, 9, source,
+                   FixedDesign{nullptr, &config.baseline_arch}, options);
+  const rl::SessionResult& served = second.original_baseline();
+  EXPECT_TRUE(second.result().baseline_from_store);
+  EXPECT_TRUE(served.failed);
+  expect_same_baseline(trained, served);
+}
+
+TEST(SearchJobBaseline, LazyStreamingBaselineJournalsTheSameRecord) {
+  Fixture fx;
+  SearchConfig config = tiny_config();
+  config.num_candidates = 12;
+
+  // Batch reference, no early-stop model: the baseline stage journals it.
+  const std::string batch_path = fresh_path("baseline_batch");
+  store::CandidateStore batch_store(batch_path,
+                                    store_scope(fx.domain, config, 31));
+  {
+    gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                  5);
+    StateCandidateSource source(generator);
+    JobOptions options;
+    options.store = &batch_store;
+    options.pool = &fx.pool;
+    SearchJob job(fx.domain, config, 31, source,
+                  FixedDesign{nullptr, &config.baseline_arch}, options);
+    (void)job.run_until(StageKind::kSelect);
+  }
+  const std::string expected = baseline_line(batch_store, fx.domain, config);
+  ASSERT_FALSE(expected.empty());
+
+  // Streaming with an early-stop model: fold_window() trains the baseline
+  // lazily at the first fold with a probe, long before the baseline stage.
+  filter::EarlyStopConfig es_config;
+  filter::EarlyStopModel model(filter::EarlyStopMethod::kHeuristicMax,
+                               es_config, 1);
+  std::vector<filter::DesignRecord> corpus;
+  for (int i = 0; i < 10; ++i) {
+    filter::DesignRecord r;
+    r.id = std::to_string(i);
+    r.final_score = static_cast<double>(i);
+    r.early_rewards = {0.0, static_cast<double>(i)};
+    corpus.push_back(r);
+  }
+  model.fit(corpus);
+  config.window_size = 4;
+  const std::string stream_path = fresh_path("baseline_stream");
+  store::CandidateStore stream_store(stream_path,
+                                     store_scope(fx.domain, config, 31));
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{}, 5);
+  StateCandidateSource source(generator);
+  JobOptions options;
+  options.store = &stream_store;
+  options.pool = &fx.pool;
+  options.early_stop_model = &model;
+  SearchJob job(fx.domain, config, 31, source,
+                FixedDesign{nullptr, &config.baseline_arch}, options);
+  bool journaled_before_stage = false;
+  while (job.next_stage_kind() != StageKind::kBaseline) {
+    ASSERT_TRUE(job.next_stage());
+    if (!baseline_line(stream_store, fx.domain, config).empty()) {
+      journaled_before_stage = true;
+    }
+  }
+  EXPECT_TRUE(journaled_before_stage);
+  EXPECT_FALSE(job.result().baseline_from_store);
+  EXPECT_EQ(baseline_line(stream_store, fx.domain, config), expected);
 }
 
 // ---- observer coverage ------------------------------------------------------

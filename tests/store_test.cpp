@@ -1,14 +1,17 @@
 // Tests for the persistent candidate store: canonical serialization and
-// fingerprint stability, journal round-trip and crash recovery, shard
-// planning, and cache/resume behaviour of the integrated search funnel.
+// fingerprint stability, journal round-trip and crash recovery, concurrent
+// lookups during puts, shard planning, and cache/resume behaviour of the
+// integrated search funnel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <random>
@@ -31,6 +34,7 @@
 #include "util/fs.h"
 #include "util/scale.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace nada::store {
 namespace {
@@ -892,6 +896,68 @@ TEST(BinaryStore, CompactDropsSupersededAndIsIdempotent) {
   ASSERT_TRUE(r1.has_value());
   EXPECT_EQ(r1->stage, Stage::kTrained);
   EXPECT_EQ(r1->test_score, make_test_record(1, Stage::kTrained).test_score);
+}
+
+TEST(BinaryStore, ConcurrentLookupsSeeMonotoneStagesDuringPuts) {
+  // Four pool threads look up every fingerprint, over and over, while this
+  // thread journals stage upgrades for all of them. Lookups share the lock
+  // and pread() their frames, so they must never see a torn or stale-after-
+  // newer frame, and each counts exactly one decoded frame per hit.
+  const std::string path = fresh_path("concurrent");
+  CandidateStore store(path, test_scope());
+  constexpr std::size_t kRecords = 64;
+  std::vector<Fingerprint> fps;
+  for (std::size_t salt = 0; salt < kRecords; ++salt) {
+    ASSERT_TRUE(store.put(make_test_record(salt, Stage::kChecked)));
+    fps.push_back(make_test_record(salt, Stage::kChecked).fingerprint);
+  }
+  const std::size_t decoded_before = store.decoded_frames();
+
+  util::ThreadPool pool(4);
+  std::atomic<bool> writing{true};
+  std::atomic<std::size_t> hits{0};
+  std::atomic<std::size_t> regressions{0};
+  std::atomic<std::size_t> wrong{0};
+  auto reader = [&] {
+    std::vector<int> last(kRecords, -1);
+    for (;;) {
+      // One more full pass after the writer finished: it must see the
+      // final stage everywhere.
+      const bool writer_done = !writing.load(std::memory_order_acquire);
+      for (std::size_t salt = 0; salt < kRecords; ++salt) {
+        const auto record = store.lookup(fps[salt]);
+        if (!record.has_value() ||
+            record->id != "cand-" + std::to_string(salt)) {
+          ++wrong;
+          continue;
+        }
+        ++hits;
+        const int stage = static_cast<int>(record->stage);
+        if (stage < last[salt]) ++regressions;
+        last[salt] = stage;
+      }
+      if (writer_done) return last;
+    }
+  };
+  std::vector<std::future<std::vector<int>>> readers;
+  for (int t = 0; t < 4; ++t) readers.push_back(pool.submit(reader));
+  for (const Stage stage : {Stage::kProbed, Stage::kTrained}) {
+    for (std::size_t salt = 0; salt < kRecords; ++salt) {
+      EXPECT_TRUE(store.put(make_test_record(salt, stage)));
+    }
+  }
+  writing.store(false, std::memory_order_release);
+  for (auto& future : readers) {
+    const std::vector<int> last = future.get();
+    for (std::size_t salt = 0; salt < kRecords; ++salt) {
+      EXPECT_EQ(last[salt], static_cast<int>(Stage::kTrained)) << salt;
+    }
+  }
+  EXPECT_EQ(regressions.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GE(hits.load(), 4 * kRecords);
+  EXPECT_EQ(store.recovered_line_errors(), 0u);
+  EXPECT_EQ(store.decoded_frames() - decoded_before, hits.load());
 }
 
 TEST(ShardPlan, ConvertedShardMergesByteIdentically) {

@@ -453,6 +453,42 @@ TEST(ThreadPool, ParallelForRethrowsFirstWorkerException) {
   }
 }
 
+TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
+  ThreadPool pool(4);
+  std::vector<int> slots(64, 0);
+  // Several items throw distinguishable errors; whatever the scheduling,
+  // the rethrown one is the lowest index's, after every item ran.
+  for (int round = 0; round < 20; ++round) {
+    std::fill(slots.begin(), slots.end(), 0);
+    try {
+      pool.parallel_for(slots.size(), [&slots](std::size_t i) {
+        if (i == 9 || i == 33 || i == 60) {
+          throw std::runtime_error("item " + std::to_string(i));
+        }
+        slots[i] = 1;
+      });
+      ADD_FAILURE() << "parallel_for swallowed the exceptions";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 9");
+    }
+    EXPECT_EQ(std::count(slots.begin(), slots.end(), 1), 61);
+  }
+}
+
+TEST(ThreadPool, ParallelForRunsEveryItemOfALargeRange) {
+  ThreadPool pool(4);
+  constexpr std::size_t kItems = 100000;
+  std::vector<unsigned char> hits(kItems, 0);
+  std::atomic<std::size_t> counter{0};
+  pool.parallel_for(kItems, [&](std::size_t i) {
+    ++hits[i];
+    counter.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(counter.load(), kItems);
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+            static_cast<std::ptrdiff_t>(kItems));
+}
+
 TEST(ThreadPool, ParallelForWritesDistinctSlots) {
   ThreadPool pool(8);
   std::vector<int> slots(500, 0);
