@@ -110,7 +110,7 @@ int main() {
   const std::size_t merged_count =
       store::merge_shard_files(shard_paths, merged);
   std::cout << "merged " << merged_count << " records back into one store ("
-            << merged.size() << " distinct candidates)\n";
+            << merged.size() << " distinct records)\n";
 
   bench::save_csv("store_cache.csv", table);
   return 0;

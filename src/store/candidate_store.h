@@ -29,7 +29,7 @@
 // file). All public methods are thread-safe: lookup() and records() take a
 // shared lock and read frames with pread(), so pool threads look up
 // concurrently; put(), merge_from(), compact() and rebuild_index() are
-// exclusive, and a waiting writer goes ahead of new readers.
+// exclusive.
 #pragma once
 
 #include <atomic>
@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <fstream>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,7 +47,6 @@
 #include "obs/metrics.h"
 #include "store/fingerprint.h"
 #include "store/mmap_index.h"
-#include "util/rw_lock.h"
 
 namespace nada::store {
 
@@ -140,7 +140,8 @@ class CandidateStore {
   /// record was accepted.
   bool put(const OutcomeRecord& record);
 
-  /// Number of distinct fingerprints indexed.
+  /// Number of distinct fingerprints indexed. A search journal counts its
+  /// `<baseline>` record here too (and records() returns it).
   [[nodiscard]] std::size_t size() const;
 
   /// Snapshot of the latest record per fingerprint, in first-sighting
@@ -223,9 +224,8 @@ class CandidateStore {
   /// (Re)opens read_fd_ on path_; throws on failure.
   void open_read_fd();
 
-  /// Shared by readers (lookup, records, size), exclusive for writers. A
-  /// waiting writer goes ahead of new readers, so lookups cannot starve put().
-  mutable util::WriterPreferringSharedMutex mutex_;
+  /// Shared by readers (lookup, records, size), exclusive for writers.
+  mutable std::shared_mutex mutex_;
   // atomic, not mutex-guarded: lookup/put read it before taking mutex_ so
   // the recorded latency includes lock wait (the contended part).
   std::atomic<obs::MetricsRegistry*> metrics_{nullptr};

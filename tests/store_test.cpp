@@ -18,6 +18,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "dsl/canonical.h"
@@ -899,13 +900,18 @@ TEST(BinaryStore, CompactDropsSupersededAndIsIdempotent) {
 }
 
 TEST(BinaryStore, ConcurrentLookupsSeeMonotoneStagesDuringPuts) {
-  // Four pool threads look up every fingerprint, over and over, while this
-  // thread journals stage upgrades for all of them. Lookups share the lock
-  // and pread() their frames, so they must never see a torn or stale-after-
-  // newer frame, and each counts exactly one decoded frame per hit.
+  // Four pool threads look up every fingerprint, pass after pass, while
+  // this thread journals stage upgrades for all of them. Lookups share the
+  // lock and pread() their frames, so they must never see a torn or
+  // stale-after-newer frame, and each counts exactly one decoded frame per
+  // hit.
   const std::string path = fresh_path("concurrent");
   CandidateStore store(path, test_scope());
   constexpr std::size_t kRecords = 64;
+  // Passes a reader makes while the writer is busy. std::shared_mutex may
+  // prefer readers, so readers that never paused could hold put() off
+  // indefinitely; a bounded budget keeps the overlap and lets puts finish.
+  constexpr std::size_t kPassesWhileWriting = 50;
   std::vector<Fingerprint> fps;
   for (std::size_t salt = 0; salt < kRecords; ++salt) {
     ASSERT_TRUE(store.put(make_test_record(salt, Stage::kChecked)));
@@ -914,16 +920,14 @@ TEST(BinaryStore, ConcurrentLookupsSeeMonotoneStagesDuringPuts) {
   const std::size_t decoded_before = store.decoded_frames();
 
   util::ThreadPool pool(4);
+  std::atomic<int> started{0};
   std::atomic<bool> writing{true};
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> regressions{0};
   std::atomic<std::size_t> wrong{0};
   auto reader = [&] {
     std::vector<int> last(kRecords, -1);
-    for (;;) {
-      // One more full pass after the writer finished: it must see the
-      // final stage everywhere.
-      const bool writer_done = !writing.load(std::memory_order_acquire);
+    auto pass = [&] {
       for (std::size_t salt = 0; salt < kRecords; ++salt) {
         const auto record = store.lookup(fps[salt]);
         if (!record.has_value() ||
@@ -936,11 +940,23 @@ TEST(BinaryStore, ConcurrentLookupsSeeMonotoneStagesDuringPuts) {
         if (stage < last[salt]) ++regressions;
         last[salt] = stage;
       }
-      if (writer_done) return last;
+    };
+    ++started;
+    for (std::size_t p = 0;
+         p < kPassesWhileWriting && writing.load(std::memory_order_acquire);
+         ++p) {
+      pass();
     }
+    while (writing.load(std::memory_order_acquire)) std::this_thread::yield();
+    // One more full pass after the writer finished: it must see the final
+    // stage everywhere.
+    pass();
+    return last;
   };
   std::vector<std::future<std::vector<int>>> readers;
   for (int t = 0; t < 4; ++t) readers.push_back(pool.submit(reader));
+  // Start writing only once every reader is looking up.
+  while (started.load() < 4) std::this_thread::yield();
   for (const Stage stage : {Stage::kProbed, Stage::kTrained}) {
     for (std::size_t salt = 0; salt < kRecords; ++salt) {
       EXPECT_TRUE(store.put(make_test_record(salt, stage)));
